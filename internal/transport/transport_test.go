@@ -172,7 +172,9 @@ func TestServerCloseIdempotent(t *testing.T) {
 // pending — when the deadline is too tight.
 func TestServerShutdown(t *testing.T) {
 	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
 	srv, err := Listen("127.0.0.1:0", func(f *Frame) ([]*Frame, error) {
+		entered <- struct{}{}
 		<-block
 		return []*Frame{{Kind: "ack"}}, nil
 	})
@@ -187,6 +189,10 @@ func TestServerShutdown(t *testing.T) {
 	if err := WriteFrame(conn, &Frame{Kind: "hi"}); err != nil {
 		t.Fatal(err)
 	}
+	// Wait until the handler is parked on block: before that, Shutdown
+	// could close the listener ahead of the accept, leaving nothing in
+	// flight to wait for.
+	<-entered
 
 	// The handler is parked on block: a tight deadline must expire.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

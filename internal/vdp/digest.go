@@ -14,13 +14,24 @@ import (
 // the execution engine — same seed ⇒ identical transcript at any worker
 // count — is stated and tested.
 func TranscriptDigest(pub *Public, t *Transcript) []byte {
-	h := sha256.New()
 	if t == nil {
-		return h.Sum(nil)
+		return sha256.New().Sum(nil)
 	}
-	writeU32(h, uint32(len(t.Clients)))
-	for _, cp := range t.Clients {
-		chunk(h, pub.EncodeClientPublic(cp))
+	raw := make([][]byte, len(t.Clients))
+	for i, cp := range t.Clients {
+		raw[i] = pub.EncodeClientPublic(cp)
+	}
+	return transcriptDigest(pub, raw, t)
+}
+
+// transcriptDigest is TranscriptDigest over already-encoded clients and the
+// prover tail of t (t.Clients is ignored), so a seal parsed without
+// decoding its clients digests without re-encoding them.
+func transcriptDigest(pub *Public, clientRaw [][]byte, t *Transcript) []byte {
+	h := sha256.New()
+	writeU32(h, uint32(len(clientRaw)))
+	for _, raw := range clientRaw {
+		chunk(h, raw)
 	}
 	writeU32(h, uint32(len(t.CoinMsgs)))
 	for _, msg := range t.CoinMsgs {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sketch"
@@ -449,5 +450,60 @@ func TestSketchAccessorsAndCompaction(t *testing.T) {
 	}
 	if rs.Epoch() != 1 {
 		t.Fatalf("recovered epoch = %d, want 1 (boot from the snapshot)", rs.Epoch())
+	}
+}
+
+// TestSketchForgedRowRoster: a client seated on a later row behind row 0's
+// admission gate is a forged roster, and the live tail refuses it exactly
+// as the offline audit does — both run the sketch's roster rule.
+func TestSketchForgedRowRoster(t *testing.T) {
+	ctx := context.Background()
+	pub := testPublic(t, 1, 8, 4)
+	layout := testLayout()
+	seg, err := store.OpenSegmentedLog(t.TempDir(), layout.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	hs, err := NewSketchSession(pub, layout, SessionOptions{Rand: testSeed(51), Segmented: seg, Parallelism: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, item := range []int{3, 3, 5} {
+		c, err := hs.NewContribution(i, item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hs.Submit(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := hs.Row(1).NewClientSubmission(99, layout.Cell(1, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.Row(1).Submit(ctx, sub); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hs.Finalize(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = "sketch row 1 seats client 99, which row 0 never admitted"
+	if err := AuditSketchLog(ctx, pub, layout, seg, 0, 2); !errors.Is(err, ErrAuditFail) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("offline audit = %v, want %q", err, want)
+	}
+	st, err := TailSketchLog(pub, layout, seg, TailOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for {
+		if n, err := st.Poll(); err != nil || n == 0 {
+			break
+		}
+	}
+	if _, ready, err := st.VerifyMerged(0); !errors.Is(err, ErrAuditFail) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("live tail: ready=%v err=%v, want %q", ready, err, want)
 	}
 }

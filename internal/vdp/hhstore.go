@@ -1,7 +1,6 @@
 package vdp
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -10,15 +9,15 @@ import (
 )
 
 // Durable sketch sessions: recovery, offline audit, and live tailing over a
-// store.SegmentedLog with one segment per count-min row. The segment
-// machinery is the sharded session's — same merged-seal manifest grammar,
-// same per-segment record streams — but the roster discipline differs: a
-// sharded deployment pins each client to exactly one shard (ShardOf),
-// while a sketch puts every client on every row. The audit therefore swaps
-// the shard-assignment check for the row-subset invariant (row 0 gates
-// admission, so no row may seat a client row 0 does not), and the live tail
-// runs its per-segment auditors unpinned. Budget charges appear on row 0's
-// segment only; the other rows' ledgers stay empty by construction.
+// store.SegmentedLog with one segment per count-min row. All three run on
+// the multi-segment core the sharded session uses (multiseg.go) — one
+// lifecycle, one merged-seal manifest, every segment read through the one
+// board-log grammar. A sketch supplies only what differs from sharding: its
+// roster rule (row 0 gates admission, so no later row may seat a client row
+// 0 did not — where a shard instead pins each client with ShardOf), the
+// budget ledger on row 0 only, and its own Submit fan-out and result
+// assembly (hh.go). The offline audit and the live tail both enforce the
+// roster rule over each epoch's sealed rosters.
 
 // ResumeSketchSession reconstructs a sketch session from its segmented
 // board log after a restart. Every row's segment is replayed and resumed
@@ -33,77 +32,14 @@ func ResumeSketchSession(ctx context.Context, pub *Public, layout sketch.Layout,
 	if err := validateSketchOptions(pub, layout, opts); err != nil {
 		return nil, err
 	}
-	seg := opts.Segmented
-	if seg == nil {
+	if opts.Segmented == nil {
 		return nil, fmt.Errorf("%w: ResumeSketchSession needs SessionOptions.Segmented", ErrBadConfig)
 	}
-	root, err := newRandSource(opts.Rand)
+	c, err := openSegments(ctx, pub, opts, sketchKind, layout.Rows, true)
 	if err != nil {
 		return nil, err
 	}
-	hs := &SketchSession{pub: pub, layout: layout, opts: opts, resumed: true}
-	per := perShardWorkers(opts.Parallelism, layout.Rows)
-	maxEpoch := 0
-	for r := 0; r < layout.Rows; r++ {
-		so := subSessionOptions(opts, per)
-		if r > 0 {
-			so.Budget = nil
-		}
-		so.Store = seg.Board(r)
-		s, err := resumeSessionFromSource(ctx, pub, so, root.forkShard(r, layout.Rows))
-		if err != nil {
-			return nil, fmt.Errorf("vdp: resuming sketch row %d: %w", r, err)
-		}
-		hs.rows = append(hs.rows, s)
-		if s.Epoch() > maxEpoch {
-			maxEpoch = s.Epoch()
-		}
-	}
-	for r, s := range hs.rows {
-		for s.Epoch() < maxEpoch {
-			if err := s.Reset(); err != nil {
-				return nil, fmt.Errorf("vdp: rolling sketch row %d forward to epoch %d: %w", r, maxEpoch, err)
-			}
-		}
-	}
-	hs.epoch = maxEpoch
-
-	seals, err := readMergedSeals(seg)
-	if err != nil {
-		return nil, err
-	}
-	for epoch := range seals {
-		if epoch > maxEpoch {
-			return nil, fmt.Errorf("vdp: manifest seals epoch %d but the rows have only reached epoch %d", epoch, maxEpoch)
-		}
-	}
-	allSealed := true
-	for _, s := range hs.rows {
-		if !s.Finalized() {
-			allSealed = false
-			break
-		}
-	}
-	if allSealed {
-		ts := make([]*Transcript, layout.Rows)
-		for r, s := range hs.rows {
-			if ts[r] = s.SealedTranscript(); ts[r] == nil {
-				return nil, fmt.Errorf("%w: sketch row %d is sealed but its transcript is not recoverable", ErrBadConfig, r)
-			}
-		}
-		digest := MergedTranscriptDigest(pub, ts)
-		if want, ok := seals[maxEpoch]; ok {
-			if !bytes.Equal(want, digest) {
-				return nil, fmt.Errorf("vdp: manifest merged seal for epoch %d disagrees with the row seals", maxEpoch)
-			}
-		} else if err := appendMergedSeal(seg, maxEpoch, layout.Rows, digest); err != nil {
-			return nil, err
-		}
-		hs.state = sessionFinalized
-	} else if _, ok := seals[maxEpoch]; ok {
-		return nil, fmt.Errorf("vdp: manifest seals epoch %d but not every row segment is sealed", maxEpoch)
-	}
-	return hs, nil
+	return &SketchSession{c, layout}, nil
 }
 
 // AuditSketchLog audits a sketch epoch offline, from the segmented board
@@ -116,57 +52,10 @@ func ResumeSketchSession(ctx context.Context, pub *Public, layout sketch.Layout,
 // the manifest's merged-seal record. epoch < 0 selects the latest merged
 // epoch; workers follows the AuditParallel convention.
 func AuditSketchLog(ctx context.Context, pub *Public, layout sketch.Layout, seg *store.SegmentedLog, epoch, workers int) error {
-	if err := layout.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if pub.Bins() != layout.Width {
-		return fmt.Errorf("%w: layout width %d but the protocol has %d bins", ErrBadConfig, layout.Width, pub.Bins())
-	}
-	if seg.Shards() != layout.Rows {
-		return fmt.Errorf("%w: segmented log holds %d segments but the layout has %d rows", ErrBadConfig, seg.Shards(), layout.Rows)
-	}
-	seals, err := readMergedSeals(seg)
-	if err != nil {
+	if err := checkSketchLayout(pub, layout, seg); err != nil {
 		return err
 	}
-	if epoch < 0 {
-		epoch = -1
-		for e := range seals {
-			if e > epoch {
-				epoch = e
-			}
-		}
-		if epoch < 0 {
-			return fmt.Errorf("%w: manifest holds no merged-sealed epoch", ErrAuditFail)
-		}
-	}
-	want, ok := seals[epoch]
-	if !ok {
-		return fmt.Errorf("%w: manifest holds no merged seal for epoch %d", ErrAuditFail, epoch)
-	}
-	ts := make([]*Transcript, layout.Rows)
-	for r := range ts {
-		t, err := auditLogEpoch(ctx, pub, seg.Segment(r), epoch, workers)
-		if err != nil {
-			return fmt.Errorf("sketch row %d: %w", r, err)
-		}
-		ts[r] = t
-	}
-	row0 := make(map[int]bool, len(ts[0].Clients))
-	for _, cp := range ts[0].Clients {
-		row0[cp.ID] = true
-	}
-	for r := 1; r < len(ts); r++ {
-		for _, cp := range ts[r].Clients {
-			if !row0[cp.ID] {
-				return fmt.Errorf("%w: sketch row %d seats client %d, which row 0 never admitted", ErrAuditFail, r, cp.ID)
-			}
-		}
-	}
-	if got := MergedTranscriptDigest(pub, ts); !bytes.Equal(got, want) {
-		return fmt.Errorf("%w: epoch %d merged digest disagrees with the manifest's merged seal", ErrAuditFail, epoch)
-	}
-	return nil
+	return auditSegmentedEpoch(ctx, pub, seg, epoch, workers, sketchKind)
 }
 
 // TailSketchLog opens a live audit tail over a sketch session's segmented
@@ -176,31 +65,8 @@ func AuditSketchLog(ctx context.Context, pub *Public, layout sketch.Layout, seg 
 // rows carry no charges, and any charge record appearing there fails their
 // chain replay at the unknown-client check.
 func TailSketchLog(pub *Public, layout sketch.Layout, seg *store.SegmentedLog, opts TailOptions) (*SegmentedTail, error) {
-	if err := layout.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if seg.Shards() != layout.Rows {
-		return nil, fmt.Errorf("%w: segmented log holds %d segments but the layout has %d rows", ErrBadConfig, seg.Shards(), layout.Rows)
-	}
-	m := &MergedTailAuditor{pub: pub, seals: make(map[int][]byte)}
-	for r := 0; r < layout.Rows; r++ {
-		ro := opts
-		if r > 0 {
-			ro.Budget = nil
-		}
-		a := NewTailAuditor(pub, ro)
-		t, err := seg.Segment(r).Tail()
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		a.AttachTailer(t)
-		m.shards = append(m.shards, a)
-	}
-	manTail, err := seg.Manifest().Tail()
-	if err != nil {
-		m.Close()
+	if err := checkSketchLayout(pub, layout, seg); err != nil {
 		return nil, err
 	}
-	return &SegmentedTail{merged: m, manTail: manTail}, nil
+	return newSegmentedTail(pub, seg, opts, sketchKind)
 }

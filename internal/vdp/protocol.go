@@ -157,19 +157,27 @@ func AuditParallel(pub *Public, t *Transcript, workers int) error {
 }
 
 func auditParallel(ctx context.Context, pub *Public, t *Transcript, workers int) error {
+	_, err := auditBoard(ctx, pub, t, workers)
+	return err
+}
+
+// auditBoard is auditParallel returning the board's rejected clients, so an
+// auditor holding per-arrival verdicts can check each against the proofs.
+func auditBoard(ctx context.Context, pub *Public, t *Transcript, workers int) (rejected map[int]error, err error) {
 	if t == nil || t.Release == nil {
-		return fmt.Errorf("%w: empty transcript", ErrAuditFail)
+		return nil, fmt.Errorf("%w: empty transcript", ErrAuditFail)
 	}
 	k := pub.cfg.Provers
 	if len(t.CoinMsgs) != k || len(t.Morra) != k || len(t.Outputs) != k {
-		return fmt.Errorf("%w: transcript covers %d/%d/%d prover records, want %d",
+		return nil, fmt.Errorf("%w: transcript covers %d/%d/%d prover records, want %d",
 			ErrAuditFail, len(t.CoinMsgs), len(t.Morra), len(t.Outputs), k)
 	}
 
 	workers = NewEngine(pub, workers).Workers()
 	verifier := NewVerifierParallel(pub, workers)
-	if _, _, err := verifier.verifyClients(ctx, t.Clients); err != nil {
-		return err
+	_, rejected, err = verifier.verifyClients(ctx, t.Clients)
+	if err != nil {
+		return nil, err
 	}
 
 	// The per-prover records are audited concurrently, so divide the
@@ -183,7 +191,7 @@ func auditParallel(ctx context.Context, pub *Public, t *Transcript, workers int)
 	proverVerifier := NewVerifierParallel(pub, inner)
 	proverVerifier.valid = verifier.valid
 
-	err := forEach(ctx, workers, k, func(pk int) error {
+	err = forEach(ctx, workers, k, func(pk int) error {
 		msg := t.CoinMsgs[pk]
 		if msg.Prover != pk {
 			return fmt.Errorf("%w: coin message %d claims prover %d", ErrAuditFail, pk, msg.Prover)
@@ -208,22 +216,22 @@ func auditParallel(ctx context.Context, pub *Public, t *Transcript, workers int)
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	release, err := verifier.Aggregate(t.Outputs)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrAuditFail, err)
+		return nil, fmt.Errorf("%w: %v", ErrAuditFail, err)
 	}
 	if len(release.Raw) != len(t.Release.Raw) {
-		return fmt.Errorf("%w: release has %d bins, transcript claims %d",
+		return nil, fmt.Errorf("%w: release has %d bins, transcript claims %d",
 			ErrAuditFail, len(release.Raw), len(t.Release.Raw))
 	}
 	for j := range release.Raw {
 		if release.Raw[j] != t.Release.Raw[j] {
-			return fmt.Errorf("%w: recomputed bin %d = %d, transcript claims %d",
+			return nil, fmt.Errorf("%w: recomputed bin %d = %d, transcript claims %d",
 				ErrAuditFail, j, release.Raw[j], t.Release.Raw[j])
 		}
 	}
-	return nil
+	return rejected, nil
 }

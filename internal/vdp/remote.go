@@ -146,21 +146,7 @@ func TranscriptFromLog(pub *Public, log store.BoardLog, epoch int) (*Transcript,
 // AuditSegmentedLog with the segments fetched from K machines instead of one
 // directory. workers follows the AuditParallel convention (0 = all cores).
 func AuditMergedLogs(ctx context.Context, pub *Public, logs []store.BoardLog, epoch, workers int) ([]byte, error) {
-	if len(logs) == 0 {
-		return nil, fmt.Errorf("%w: no node logs to audit", ErrAuditFail)
-	}
-	ts := make([]*Transcript, len(logs))
-	for i, lg := range logs {
-		t, err := auditLogEpoch(ctx, pub, lg, epoch, workers)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		ts[i] = t
-	}
-	if err := checkShardAssignment(ts); err != nil {
-		return nil, err
-	}
-	return MergedTranscriptDigest(pub, ts), nil
+	return auditSegments(ctx, pub, logs, epoch, workers, shardKind)
 }
 
 // EncodeSubmitPayload serializes the body of a one-per-frame "submit"

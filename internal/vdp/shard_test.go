@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/sketch"
 	"repro/internal/store"
 )
 
@@ -276,154 +277,6 @@ func TestShardedConcurrentSubmit(t *testing.T) {
 	}
 }
 
-// TestShardedCrashMidFinalize: a crash that seals some shards but not
-// others resumes open, reuses the sealed shards' transcripts, and still
-// produces the uninterrupted merged digest.
-func TestShardedCrashMidFinalize(t *testing.T) {
-	pub := testPublic(t, 1, 1, 4)
-	const shards, n = 3, 9
-	choices := []int{1, 0, 1, 1, 1, 0, 0, 1, 1}
-
-	subs := make([]*ClientSubmission, n)
-	run := func(opts SessionOptions) *ShardedSession {
-		s, err := NewShardedSession(pub, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if subs[i] == nil {
-				sub, err := s.NewClientSubmission(i, choices[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				subs[i] = sub
-			}
-			if err := s.Submit(context.Background(), subs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
-	}
-
-	refSession := run(SessionOptions{Rand: testSeed(21), Shards: shards})
-	ref, err := refSession.Finalize(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	seg, err := store.OpenSegmentedLog(dir, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := run(SessionOptions{Rand: testSeed(21), Segmented: seg})
-	// The "crash": exactly one shard finalizes (seals its segment) before
-	// the process dies.
-	if _, err := ss.Shard(1).Finalize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	seg2, err := store.OpenSegmentedLog(dir, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg2.Close()
-	resumed, err := ResumeShardedSession(context.Background(), pub, SessionOptions{Rand: testSeed(21), Segmented: seg2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Finalized() {
-		t.Fatal("partially sealed epoch resumed as finalized")
-	}
-	res, err := resumed.Finalize(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Digest, ref.Digest) {
-		t.Error("crash mid-finalize changed the merged digest")
-	}
-	if err := AuditSegmentedLog(context.Background(), pub, seg2, -1, 0); err != nil {
-		t.Errorf("segmented audit after mid-finalize recovery: %v", err)
-	}
-}
-
-// TestShardedManifestHeal: a crash after every shard sealed but before the
-// manifest's merged-seal record landed resumes finalized, recomputes the
-// merged digest from the segment seals, and heals the manifest so the
-// offline auditor accepts the epoch.
-func TestShardedManifestHeal(t *testing.T) {
-	pub := testPublic(t, 1, 1, 4)
-	const shards = 2
-	dir := t.TempDir()
-	seg, err := store.OpenSegmentedLog(dir, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := NewShardedSession(pub, SessionOptions{Rand: testSeed(33), Segmented: seg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		sub, err := ss.NewClientSubmission(i, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ss.Submit(context.Background(), sub); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Seal every shard by hand — the front door never gets to write the
-	// manifest record, exactly like a crash between the last segment seal
-	// and the manifest append.
-	for i := 0; i < shards; i++ {
-		if _, err := ss.Shard(i).Finalize(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := seg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	seg2, err := store.OpenSegmentedLog(dir, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg2.Close()
-	resumed, err := ResumeShardedSession(context.Background(), pub, SessionOptions{Rand: testSeed(33), Segmented: seg2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.Finalized() {
-		t.Fatal("fully sealed epoch did not resume finalized")
-	}
-	if err := AuditSegmentedLog(context.Background(), pub, seg2, -1, 0); err != nil {
-		t.Errorf("audit after manifest heal: %v", err)
-	}
-	// The next epoch opens cleanly on top of the healed manifest.
-	if err := resumed.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if got := resumed.Epoch(); got != 1 {
-		t.Fatalf("epoch after reset = %d, want 1", got)
-	}
-	sub, err := resumed.NewClientSubmission(100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Submit(context.Background(), sub); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := resumed.Finalize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := AuditSegmentedLog(context.Background(), pub, seg2, 1, 0); err != nil {
-		t.Errorf("audit of the post-heal epoch: %v", err)
-	}
-}
-
 // TestShardedAuditTamper: the merged auditors reject shard-map violations
 // and doctored segments.
 func TestShardedAuditTamper(t *testing.T) {
@@ -560,103 +413,6 @@ func TestShardedAuditTamper(t *testing.T) {
 	})
 }
 
-// TestShardedManifestAppendFailureRetryable: when every shard seals but the
-// manifest's merged-seal append fails, the session must stay retryable —
-// not report "session is finalized" — so a caller can re-merge in-process
-// once the store recovers (the retry reuses the kept shard transcripts).
-func TestShardedManifestAppendFailureRetryable(t *testing.T) {
-	pub := testPublic(t, 1, 1, 4)
-	seg, err := store.OpenSegmentedLog(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	ss, err := NewShardedSession(pub, SessionOptions{Segmented: seg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := ss.NewClientSubmission(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Submit(context.Background(), sub); err != nil {
-		t.Fatal(err)
-	}
-	// Break only the manifest: the segment seals still land, the
-	// epoch-binding merged-seal record cannot.
-	if err := seg.Manifest().Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.Finalize(context.Background()); !errors.Is(err, store.ErrClosed) {
-		t.Fatalf("Finalize with a failing manifest: %v, want the manifest append error", err)
-	}
-	if ss.Finalized() {
-		t.Fatal("manifest append failure marked the session finalized, burying the retry")
-	}
-	// The retry surfaces the same storage error (the manifest is still
-	// down), never the misleading lifecycle error.
-	if _, err := ss.Finalize(context.Background()); errors.Is(err, ErrBadConfig) {
-		t.Fatalf("Finalize retry reported a lifecycle error instead of the storage error: %v", err)
-	}
-}
-
-// TestShardedResetHealsMergedSeal: a caller that answers a failed
-// merged-seal append with Reset (instead of a Finalize retry) must not
-// orphan the fully-sealed epoch — Reset writes the missing manifest record
-// from the kept shard transcripts before advancing.
-func TestShardedResetHealsMergedSeal(t *testing.T) {
-	pub := testPublic(t, 1, 1, 4)
-	seg, err := store.OpenSegmentedLog(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	ss, err := NewShardedSession(pub, SessionOptions{Segmented: seg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		sub, err := ss.NewClientSubmission(i, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ss.Submit(context.Background(), sub); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Seal every shard without the front door: the manifest record is
-	// missing, exactly as after a failed appendMergedSeal.
-	for i := 0; i < 2; i++ {
-		if _, err := ss.Shard(i).Finalize(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := AuditSegmentedLog(context.Background(), pub, seg, 0, 0); err == nil {
-		t.Fatal("epoch 0 audited without a merged seal — test setup is wrong")
-	}
-	if err := ss.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	// The heal landed: epoch 0 is a complete merged epoch for the auditor,
-	// and the session serves epoch 1 normally.
-	if err := AuditSegmentedLog(context.Background(), pub, seg, 0, 0); err != nil {
-		t.Errorf("epoch 0 still unauditable after Reset healed the manifest: %v", err)
-	}
-	sub, err := ss.NewClientSubmission(50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Submit(context.Background(), sub); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.Finalize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := AuditSegmentedLog(context.Background(), pub, seg, 1, 0); err != nil {
-		t.Errorf("epoch 1 audit: %v", err)
-	}
-}
-
 // pickIDForShard returns a small non-negative client ID that ShardOf maps to
 // the wanted shard.
 func pickIDForShard(shard, shards int) int {
@@ -786,37 +542,6 @@ func TestShardedResetDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedFinalizeCancellation: a cancelled Finalize reopens the sharded
-// session, and the retry completes deterministically.
-func TestShardedFinalizeCancellation(t *testing.T) {
-	pub := testPublic(t, 1, 1, 8)
-	ss, err := NewShardedSession(pub, SessionOptions{Rand: testSeed(12), Shards: 2, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		sub, err := ss.NewClientSubmission(i, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ss.Submit(context.Background(), sub); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, polls := range []int{0, 2, 6} {
-		if _, err := ss.Finalize(newCountdownCtx(polls)); !errors.Is(err, context.Canceled) {
-			t.Fatalf("Finalize with cancellation after %d polls: %v, want context.Canceled", polls, err)
-		}
-	}
-	res, err := ss.Finalize(context.Background())
-	if err != nil {
-		t.Fatalf("Finalize retry after cancellation: %v", err)
-	}
-	if err := AuditMerged(context.Background(), pub, res.Transcripts(), res.Release, 0); err != nil {
-		t.Errorf("merged audit: %v", err)
-	}
-}
-
 // BenchmarkShardedSubmit measures front-door contention: many goroutines
 // hammering Submit with deferred verification, so admission — not proof
 // crypto — dominates. The mem variant exercises the per-shard roster locks
@@ -871,6 +596,386 @@ func BenchmarkShardedSubmit(b *testing.B) {
 				b.Fatal(err)
 			}
 			flood(b, ss)
+		})
+	}
+}
+
+// segmentedDoor adapts one multi-segment front door — ShardedSession or
+// SketchSession — for the lifecycle tests below, so every crash, heal and
+// retry case runs against both doors of the shared multi-segment core.
+type segmentedDoor interface {
+	Finalized() bool
+	Epoch() int
+	Reset() error
+	submit(ctx context.Context, id, choice int) error
+	// finalize returns the merged digest and an in-memory audit of the
+	// finalized result.
+	finalize(ctx context.Context) (digest []byte, audit func() error, err error)
+	segment(i int) *Session
+}
+
+type shardedLifecycle struct {
+	*ShardedSession
+	pub *Public
+}
+
+func (d shardedLifecycle) submit(ctx context.Context, id, choice int) error {
+	sub, err := d.NewClientSubmission(id, choice)
+	if err != nil {
+		return err
+	}
+	return d.Submit(ctx, sub)
+}
+
+func (d shardedLifecycle) finalize(ctx context.Context) ([]byte, func() error, error) {
+	res, err := d.Finalize(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Digest, func() error { return AuditMerged(ctx, d.pub, res.Transcripts(), res.Release, 0) }, nil
+}
+
+func (d shardedLifecycle) segment(i int) *Session { return d.Shard(i) }
+
+type sketchLifecycle struct {
+	*SketchSession
+	pub *Public
+}
+
+func (d sketchLifecycle) submit(ctx context.Context, id, choice int) error {
+	c, err := d.NewContribution(id, choice)
+	if err != nil {
+		return err
+	}
+	return d.Submit(ctx, c)
+}
+
+func (d sketchLifecycle) finalize(ctx context.Context) ([]byte, func() error, error) {
+	res, err := d.Finalize(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Digest, func() error {
+		for r, rr := range res.Rows {
+			if err := Audit(d.pub, rr.Transcript); err != nil {
+				return fmt.Errorf("sketch row %d: %w", r, err)
+			}
+		}
+		return nil
+	}, nil
+}
+
+func (d sketchLifecycle) segment(i int) *Session { return d.Row(i) }
+
+// doorKind opens, resumes and audits one front door with k segments.
+type doorKind struct {
+	name   string
+	open   func(opts SessionOptions, k int) (segmentedDoor, error)
+	resume func(ctx context.Context, opts SessionOptions, k int) (segmentedDoor, error)
+	audit  func(ctx context.Context, seg *store.SegmentedLog, epoch int) error
+}
+
+// segmentedDoors returns both front doors over nb-coin deployments: the
+// sharded door with one bin, the sketch door with a 2-bucket layout whose
+// rows are the segments.
+func segmentedDoors(t *testing.T, nb int) []doorKind {
+	shardPub := testPublic(t, 1, 1, nb)
+	sketchPub := testPublic(t, 1, 2, nb)
+	layout := func(k int) sketch.Layout { return sketch.Layout{Rows: k, Width: 2, Domain: 4} }
+	return []doorKind{
+		{
+			name: "sharded",
+			open: func(opts SessionOptions, k int) (segmentedDoor, error) {
+				if opts.Segmented == nil {
+					opts.Shards = k
+				}
+				ss, err := NewShardedSession(shardPub, opts)
+				return shardedLifecycle{ss, shardPub}, err
+			},
+			resume: func(ctx context.Context, opts SessionOptions, k int) (segmentedDoor, error) {
+				ss, err := ResumeShardedSession(ctx, shardPub, opts)
+				return shardedLifecycle{ss, shardPub}, err
+			},
+			audit: func(ctx context.Context, seg *store.SegmentedLog, epoch int) error {
+				return AuditSegmentedLog(ctx, shardPub, seg, epoch, 0)
+			},
+		},
+		{
+			name: "sketch",
+			open: func(opts SessionOptions, k int) (segmentedDoor, error) {
+				hs, err := NewSketchSession(sketchPub, layout(k), opts)
+				return sketchLifecycle{hs, sketchPub}, err
+			},
+			resume: func(ctx context.Context, opts SessionOptions, k int) (segmentedDoor, error) {
+				hs, err := ResumeSketchSession(ctx, sketchPub, layout(k), opts)
+				return sketchLifecycle{hs, sketchPub}, err
+			},
+			audit: func(ctx context.Context, seg *store.SegmentedLog, epoch int) error {
+				return AuditSketchLog(ctx, sketchPub, layout(seg.Shards()), seg, epoch, 0)
+			},
+		},
+	}
+}
+
+// TestShardedCrashMidFinalize: a crash that seals some segments but not
+// others resumes open, reuses the sealed segments' transcripts, and still
+// produces the uninterrupted merged digest.
+func TestShardedCrashMidFinalize(t *testing.T) {
+	const shards, n = 3, 9
+	choices := []int{1, 0, 1, 1, 1, 0, 0, 1, 1}
+	ctx := context.Background()
+	for _, d := range segmentedDoors(t, 4) {
+		t.Run(d.name, func(t *testing.T) {
+			run := func(opts SessionOptions) segmentedDoor {
+				s, err := d.open(opts, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if err := s.submit(ctx, i, choices[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return s
+			}
+
+			ref, _, err := run(SessionOptions{Rand: testSeed(21)}).finalize(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			dir := t.TempDir()
+			seg, err := store.OpenSegmentedLog(dir, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss := run(SessionOptions{Rand: testSeed(21), Segmented: seg})
+			// The "crash": exactly one segment finalizes (seals its log)
+			// before the process dies.
+			if _, err := ss.segment(1).Finalize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := seg.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			seg2, err := store.OpenSegmentedLog(dir, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seg2.Close()
+			resumed, err := d.resume(ctx, SessionOptions{Rand: testSeed(21), Segmented: seg2}, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Finalized() {
+				t.Fatal("partially sealed epoch resumed as finalized")
+			}
+			digest, _, err := resumed.finalize(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(digest, ref) {
+				t.Error("crash mid-finalize changed the merged digest")
+			}
+			if err := d.audit(ctx, seg2, -1); err != nil {
+				t.Errorf("segmented audit after mid-finalize recovery: %v", err)
+			}
+		})
+	}
+}
+
+// TestShardedManifestHeal: a crash after every segment sealed but before
+// the manifest's merged-seal record landed resumes finalized, recomputes
+// the merged digest from the segment seals, and heals the manifest so the
+// offline auditor accepts the epoch.
+func TestShardedManifestHeal(t *testing.T) {
+	const shards = 2
+	ctx := context.Background()
+	for _, d := range segmentedDoors(t, 4) {
+		t.Run(d.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seg, err := store.OpenSegmentedLog(dir, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, err := d.open(SessionOptions{Rand: testSeed(33), Segmented: seg}, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6; i++ {
+				if err := ss.submit(ctx, i, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Seal every segment by hand — the front door never gets to
+			// write the manifest record, exactly like a crash between the
+			// last segment seal and the manifest append.
+			for i := 0; i < shards; i++ {
+				if _, err := ss.segment(i).Finalize(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := seg.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			seg2, err := store.OpenSegmentedLog(dir, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seg2.Close()
+			resumed, err := d.resume(ctx, SessionOptions{Rand: testSeed(33), Segmented: seg2}, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resumed.Finalized() {
+				t.Fatal("fully sealed epoch did not resume finalized")
+			}
+			if err := d.audit(ctx, seg2, -1); err != nil {
+				t.Errorf("audit after manifest heal: %v", err)
+			}
+			// The next epoch opens cleanly on top of the healed manifest.
+			if err := resumed.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if got := resumed.Epoch(); got != 1 {
+				t.Fatalf("epoch after reset = %d, want 1", got)
+			}
+			if err := resumed.submit(ctx, 100, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := resumed.finalize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.audit(ctx, seg2, 1); err != nil {
+				t.Errorf("audit of the post-heal epoch: %v", err)
+			}
+		})
+	}
+}
+
+// TestShardedManifestAppendFailureRetryable: when every segment seals but
+// the manifest's merged-seal append fails, the session must stay retryable
+// — not report "session is finalized" — so a caller can re-merge in-process
+// once the store recovers (the retry reuses the kept segment transcripts).
+func TestShardedManifestAppendFailureRetryable(t *testing.T) {
+	ctx := context.Background()
+	for _, d := range segmentedDoors(t, 4) {
+		t.Run(d.name, func(t *testing.T) {
+			seg, err := store.OpenSegmentedLog(t.TempDir(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seg.Close()
+			ss, err := d.open(SessionOptions{Segmented: seg}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ss.submit(ctx, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			// Break only the manifest: the segment seals still land, the
+			// epoch-binding merged-seal record cannot.
+			if err := seg.Manifest().Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ss.finalize(ctx); !errors.Is(err, store.ErrClosed) {
+				t.Fatalf("Finalize with a failing manifest: %v, want the manifest append error", err)
+			}
+			if ss.Finalized() {
+				t.Fatal("manifest append failure marked the session finalized, burying the retry")
+			}
+			// The retry surfaces the same storage error (the manifest is
+			// still down), never the misleading lifecycle error.
+			if _, _, err := ss.finalize(ctx); errors.Is(err, ErrBadConfig) {
+				t.Fatalf("Finalize retry reported a lifecycle error instead of the storage error: %v", err)
+			}
+		})
+	}
+}
+
+// TestShardedResetHealsMergedSeal: a caller that answers a failed
+// merged-seal append with Reset (instead of a Finalize retry) must not
+// orphan the fully sealed epoch — Reset writes the missing manifest record
+// from the kept segment transcripts before advancing.
+func TestShardedResetHealsMergedSeal(t *testing.T) {
+	ctx := context.Background()
+	for _, d := range segmentedDoors(t, 4) {
+		t.Run(d.name, func(t *testing.T) {
+			seg, err := store.OpenSegmentedLog(t.TempDir(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seg.Close()
+			ss, err := d.open(SessionOptions{Segmented: seg}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if err := ss.submit(ctx, i, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Seal every segment without the front door: the manifest record
+			// is missing, exactly as after a failed appendMergedSeal.
+			for i := 0; i < 2; i++ {
+				if _, err := ss.segment(i).Finalize(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.audit(ctx, seg, 0); err == nil {
+				t.Fatal("epoch 0 audited without a merged seal — test setup is wrong")
+			}
+			if err := ss.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			// The heal landed: epoch 0 is a complete merged epoch for the
+			// auditor, and the session serves epoch 1 normally.
+			if err := d.audit(ctx, seg, 0); err != nil {
+				t.Errorf("epoch 0 still unauditable after Reset healed the manifest: %v", err)
+			}
+			if err := ss.submit(ctx, 50, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ss.finalize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.audit(ctx, seg, 1); err != nil {
+				t.Errorf("epoch 1 audit: %v", err)
+			}
+		})
+	}
+}
+
+// TestShardedFinalizeCancellation: a cancelled Finalize reopens the session
+// (the multi-segment core's retry contract: retryable when the cancellation
+// is what failed or a segment is still open), and the retry completes
+// deterministically.
+func TestShardedFinalizeCancellation(t *testing.T) {
+	for _, d := range segmentedDoors(t, 8) {
+		t.Run(d.name, func(t *testing.T) {
+			ss, err := d.open(SessionOptions{Rand: testSeed(12), Parallelism: 2}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if err := ss.submit(context.Background(), i, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, polls := range []int{0, 2, 6} {
+				if _, _, err := ss.finalize(newCountdownCtx(polls)); !errors.Is(err, context.Canceled) {
+					t.Fatalf("Finalize with cancellation after %d polls: %v, want context.Canceled", polls, err)
+				}
+			}
+			_, audit, err := ss.finalize(context.Background())
+			if err != nil {
+				t.Fatalf("Finalize retry after cancellation: %v", err)
+			}
+			if err := audit(); err != nil {
+				t.Errorf("merged audit: %v", err)
+			}
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package vdp
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -60,33 +59,41 @@ func appendMergedSeal(seg *store.SegmentedLog, epoch, shards int, digest []byte)
 	return nil
 }
 
-// readMergedSeals replays the manifest into epoch -> merged digest,
-// enforcing the manifest grammar: the store's own records are skipped, every
-// merged seal must carry the directory's shard count, no epoch may be sealed
-// twice, and a kind no ShardedSession writes is rejected outright.
+// applyMergedSeal runs one manifest record through the manifest grammar:
+// the store's own bookkeeping is skipped, every merged seal must carry the
+// expected segment count, no epoch may be sealed twice, and a kind no front
+// door writes is refused outright.
+func applyMergedSeal(seals map[int][]byte, rec *store.Record, shards int) error {
+	if rec.Kind >= store.KindSegmentedInit {
+		return nil // store-reserved bookkeeping
+	}
+	if rec.Kind != RecordMergedSeal {
+		return fmt.Errorf("unknown kind %d", rec.Kind)
+	}
+	n, digest, err := decodeMergedSeal(rec.Payload)
+	if err != nil {
+		return err
+	}
+	if n != shards {
+		return fmt.Errorf("claims %d shards, want %d", n, shards)
+	}
+	epoch := int(rec.Epoch)
+	if _, dup := seals[epoch]; dup {
+		return fmt.Errorf("seals epoch %d twice", epoch)
+	}
+	seals[epoch] = digest
+	return nil
+}
+
+// readMergedSeals replays the manifest into epoch -> merged digest.
 func readMergedSeals(seg *store.SegmentedLog) (map[int][]byte, error) {
 	out := make(map[int][]byte)
 	i := -1
 	err := seg.Manifest().Replay(func(rec *store.Record) error {
 		i++
-		if rec.Kind >= store.KindSegmentedInit {
-			return nil // store-reserved bookkeeping
-		}
-		if rec.Kind != RecordMergedSeal {
-			return fmt.Errorf("vdp: manifest record %d has unknown kind %d", i, rec.Kind)
-		}
-		shards, digest, err := decodeMergedSeal(rec.Payload)
-		if err != nil {
+		if err := applyMergedSeal(out, rec, seg.Shards()); err != nil {
 			return fmt.Errorf("vdp: manifest record %d: %w", i, err)
 		}
-		if shards != seg.Shards() {
-			return fmt.Errorf("vdp: manifest record %d claims %d shards, directory holds %d", i, shards, seg.Shards())
-		}
-		epoch := int(rec.Epoch)
-		if _, dup := out[epoch]; dup {
-			return fmt.Errorf("vdp: manifest seals epoch %d twice", epoch)
-		}
-		out[epoch] = digest
 		return nil
 	})
 	if err != nil {
@@ -99,27 +106,18 @@ func readMergedSeals(seg *store.SegmentedLog) (map[int][]byte, error) {
 // board log after a restart. Every shard's segment is replayed and resumed
 // exactly as ResumeSession would (same roster, same board order, lost
 // verdicts re-verified), and the shards are then reconciled into one
-// session:
-//
-//   - A crash mid-Reset leaves some shards an epoch ahead; the laggards are
-//     rolled forward (their Reset is completed), so all shards agree on the
-//     current epoch again.
-//   - A crash mid-Finalize leaves some shards sealed and others open; the
-//     session resumes open, and its Finalize reuses the sealed shards'
-//     transcripts while finalizing the rest — the merged digest comes out
-//     identical to the uninterrupted run's (given the same seed).
-//   - A crash after every shard sealed but before the manifest's merged-seal
-//     record landed is healed here: the digest is recomputed from the
-//     segment seals and the missing record is appended. A manifest record
-//     that *disagrees* with the recomputed digest is tampering and refuses
-//     to resume.
+// session: laggards of a crash mid-Reset are rolled forward, a crash
+// mid-Finalize resumes open (its Finalize reuses the sealed shards'
+// transcripts, so the merged digest comes out identical to the
+// uninterrupted run's given the same seed), a fully sealed epoch missing its
+// manifest merged-seal record is healed, and a manifest record that
+// disagrees with the recomputed digest is tampering and refuses to resume.
 //
 // opts.Segmented must be the replayed segmented log; it receives all further
 // records. opts.Rand must carry the original root seed for deterministic
 // reproduction, exactly as with ResumeSession.
 func ResumeShardedSession(ctx context.Context, pub *Public, opts SessionOptions) (*ShardedSession, error) {
-	seg := opts.Segmented
-	if seg == nil {
+	if opts.Segmented == nil {
 		return nil, fmt.Errorf("%w: ResumeShardedSession needs SessionOptions.Segmented", ErrBadConfig)
 	}
 	if opts.Store != nil {
@@ -129,75 +127,11 @@ func ResumeShardedSession(ctx context.Context, pub *Public, opts SessionOptions)
 	if err != nil {
 		return nil, err
 	}
-	root, err := newRandSource(opts.Rand)
+	c, err := openSegments(ctx, pub, opts, shardKind, shards, true)
 	if err != nil {
 		return nil, err
 	}
-	ss := &ShardedSession{pub: pub, opts: opts, root: root, resumed: true}
-	per := perShardWorkers(opts.Parallelism, shards)
-	maxEpoch := 0
-	for i := 0; i < shards; i++ {
-		so := subSessionOptions(opts, per)
-		so.Store = seg.Board(i)
-		s, err := resumeSessionFromSource(ctx, pub, so, root.forkShard(i, shards))
-		if err != nil {
-			return nil, fmt.Errorf("vdp: resuming shard %d: %w", i, err)
-		}
-		ss.shards = append(ss.shards, s)
-		if s.Epoch() > maxEpoch {
-			maxEpoch = s.Epoch()
-		}
-	}
-	// Complete any Reset a crash interrupted: every shard must sit at the
-	// same epoch before the session takes new submissions.
-	for i, s := range ss.shards {
-		for s.Epoch() < maxEpoch {
-			if err := s.Reset(); err != nil {
-				return nil, fmt.Errorf("vdp: rolling shard %d forward to epoch %d: %w", i, maxEpoch, err)
-			}
-		}
-	}
-	ss.epoch = maxEpoch
-
-	seals, err := readMergedSeals(seg)
-	if err != nil {
-		return nil, err
-	}
-	for epoch := range seals {
-		if epoch > maxEpoch {
-			return nil, fmt.Errorf("vdp: manifest seals epoch %d but the segments have only reached epoch %d", epoch, maxEpoch)
-		}
-	}
-	allSealed := true
-	for _, s := range ss.shards {
-		if !s.Finalized() {
-			allSealed = false
-			break
-		}
-	}
-	if allSealed {
-		ts := make([]*Transcript, shards)
-		for i, s := range ss.shards {
-			if ts[i] = s.SealedTranscript(); ts[i] == nil {
-				return nil, fmt.Errorf("%w: shard %d is sealed but its transcript is not recoverable", ErrBadConfig, i)
-			}
-		}
-		digest := MergedTranscriptDigest(pub, ts)
-		if want, ok := seals[maxEpoch]; ok {
-			if !bytes.Equal(want, digest) {
-				return nil, fmt.Errorf("vdp: manifest merged seal for epoch %d disagrees with the segment seals", maxEpoch)
-			}
-		} else if err := appendMergedSeal(seg, maxEpoch, shards, digest); err != nil {
-			return nil, err
-		}
-		ss.state = sessionFinalized
-	} else if _, ok := seals[maxEpoch]; ok {
-		// The manifest claims the current epoch merged, yet at least one
-		// segment holds no seal for it: a segment was truncated or swapped
-		// after the fact. Refuse to build on doctored evidence.
-		return nil, fmt.Errorf("vdp: manifest seals epoch %d but not every shard segment is sealed", maxEpoch)
-	}
-	return ss, nil
+	return &ShardedSession{c}, nil
 }
 
 // AuditSegmentedLog audits a merged (sharded) epoch offline, from the
@@ -209,38 +143,5 @@ func ResumeShardedSession(ctx context.Context, pub *Public, opts SessionOptions)
 // seals must equal the manifest's merged-seal record. epoch < 0 selects the
 // latest merged-sealed epoch. workers follows the AuditParallel convention.
 func AuditSegmentedLog(ctx context.Context, pub *Public, seg *store.SegmentedLog, epoch, workers int) error {
-	seals, err := readMergedSeals(seg)
-	if err != nil {
-		return err
-	}
-	if epoch < 0 {
-		epoch = -1
-		for e := range seals {
-			if e > epoch {
-				epoch = e
-			}
-		}
-		if epoch < 0 {
-			return fmt.Errorf("%w: manifest holds no merged-sealed epoch", ErrAuditFail)
-		}
-	}
-	want, ok := seals[epoch]
-	if !ok {
-		return fmt.Errorf("%w: manifest holds no merged seal for epoch %d", ErrAuditFail, epoch)
-	}
-	ts := make([]*Transcript, seg.Shards())
-	for i := range ts {
-		t, err := auditLogEpoch(ctx, pub, seg.Segment(i), epoch, workers)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		ts[i] = t
-	}
-	if err := checkShardAssignment(ts); err != nil {
-		return err
-	}
-	if got := MergedTranscriptDigest(pub, ts); !bytes.Equal(got, want) {
-		return fmt.Errorf("%w: epoch %d merged digest disagrees with the manifest's merged seal", ErrAuditFail, epoch)
-	}
-	return nil
+	return auditSegmentedEpoch(ctx, pub, seg, epoch, workers, shardKind)
 }

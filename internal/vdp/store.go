@@ -92,9 +92,11 @@ type snapshotMark struct {
 	digest []byte
 }
 
-// lastSnapshot scans a board log for its newest snapshot record. The scan
-// reads frames but decodes no submissions or seals, so it stays cheap even
-// on logs holding many compacted epochs.
+// lastSnapshot scans a board log for its newest well-formed snapshot
+// record. The scan reads frames but decodes no submissions or seals, so it
+// stays cheap even on logs holding many compacted epochs. A malformed
+// snapshot is not an error here: recovery replays from the previous
+// boundary, and the grammar refuses it in log order.
 func lastSnapshot(log store.BoardLog) (*snapshotMark, error) {
 	var out *snapshotMark
 	i := -1
@@ -103,15 +105,9 @@ func lastSnapshot(log store.BoardLog) (*snapshotMark, error) {
 		if rec.Kind != RecordSnapshot {
 			return nil
 		}
-		epoch, digest, err := decodeSnapshot(rec.Payload)
-		if err != nil {
-			return fmt.Errorf("vdp: board log record %d: snapshot: %w", i, err)
+		if epoch, digest, err := decodeSnapshot(rec.Payload); err == nil && epoch == int(rec.Epoch) {
+			out = &snapshotMark{index: i, epoch: epoch, digest: digest}
 		}
-		if epoch != int(rec.Epoch) {
-			return fmt.Errorf("vdp: board log record %d: snapshot payload pins epoch %d but the record belongs to epoch %d",
-				i, epoch, rec.Epoch)
-		}
-		out = &snapshotMark{index: i, epoch: epoch, digest: digest}
 		return nil
 	})
 	if err != nil {
@@ -157,9 +153,6 @@ type sealAssembly struct {
 	next   int
 	pieces [][]byte
 }
-
-// inProgress reports whether a chunk sequence has started but not finished.
-func (a *sealAssembly) inProgress() bool { return a.total > 0 && a.next < a.total }
 
 // add folds one chunk in, returning the completed seal payload once the
 // final chunk lands (nil otherwise). A chunk with index 0 restarts the
@@ -343,206 +336,6 @@ func (s *Session) syncStore() error {
 	return nil
 }
 
-// replayedClient is one submission reconstructed from the board log.
-type replayedClient struct {
-	sub     *ClientSubmission
-	decided bool
-	reject  error
-	onBoard bool
-}
-
-// replayState folds a board log into the roster of its last open epoch.
-type replayState struct {
-	epoch     int
-	sealed    bool
-	sealBytes []byte // the sealed transcript's encoding, when sealed
-	seal      sealAssembly
-	order     []*replayedClient
-	byID      map[int]*replayedClient
-	charged   map[int]bool // clients with a budget-charge record this epoch
-}
-
-// removeFromOrder splices one replayed client out of the submission order,
-// mirroring Session.removeFromOrderLocked.
-func (st *replayState) removeFromOrder(rc *replayedClient) {
-	for j, c := range st.order {
-		if c == rc {
-			st.order = append(st.order[:j], st.order[j+1:]...)
-			return
-		}
-	}
-}
-
-// replayLog reconstructs the per-epoch state machine from a board log. It
-// validates that every record belongs to the epoch that was current when it
-// was appended and that the submission/verdict/seal/reset grammar holds —
-// a log that violates it was not written by a Session and is rejected.
-func replayLog(pub *Public, log store.BoardLog) (*replayState, error) {
-	return replayLogFrom(pub, log, -1, 0)
-}
-
-// replayLogFrom is replayLog starting past a snapshot boundary: records up
-// to and including index skipTo are skipped without decoding (a snapshot
-// vouches for everything before it), and the state machine opens at
-// startEpoch. skipTo < 0 replays the whole log from epoch 0.
-func replayLogFrom(pub *Public, log store.BoardLog, skipTo, startEpoch int) (*replayState, error) {
-	st := &replayState{epoch: startEpoch, byID: make(map[int]*replayedClient), charged: make(map[int]bool)}
-	i := -1
-	err := log.Replay(func(rec *store.Record) error {
-		i++
-		if i <= skipTo {
-			return nil
-		}
-		if int(rec.Epoch) != st.epoch {
-			return fmt.Errorf("vdp: board log record %d belongs to epoch %d, current epoch is %d",
-				i, rec.Epoch, st.epoch)
-		}
-		switch rec.Kind {
-		case RecordSubmission:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: submission after epoch %d was sealed", i, st.epoch)
-			}
-			sub, err := pub.DecodeClientSubmission(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: %w", i, err)
-			}
-			if prev, dup := st.byID[sub.Public.ID]; dup {
-				if prev.decided {
-					return fmt.Errorf("vdp: board log record %d: duplicate submission from client %d", i, sub.Public.ID)
-				}
-				// An undecided earlier submission followed by a retry means
-				// the earlier one was withdrawn live but its withdrawal
-				// record was lost (withdrawals are best-effort by design:
-				// they compensate for a store that is already failing). The
-				// live session could only have admitted the retry if the
-				// original was gone, so the retry supersedes it.
-				st.removeFromOrder(prev)
-			}
-			rc := &replayedClient{sub: sub}
-			st.byID[sub.Public.ID] = rc
-			st.order = append(st.order, rc)
-		case RecordVerdict:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: verdict after epoch %d was sealed", i, st.epoch)
-			}
-			id, reject, onBoard, err := decodeVerdict(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: %w", i, err)
-			}
-			rc, ok := st.byID[id]
-			if !ok {
-				return fmt.Errorf("vdp: board log record %d: verdict for unknown client %d", i, id)
-			}
-			rc.decided = true
-			rc.reject = reject
-			rc.onBoard = onBoard
-		case RecordWithdraw:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: withdrawal after epoch %d was sealed", i, st.epoch)
-			}
-			id, err := decodeWithdraw(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: %w", i, err)
-			}
-			rc, ok := st.byID[id]
-			if !ok {
-				return fmt.Errorf("vdp: board log record %d: withdrawal of unknown client %d", i, id)
-			}
-			if rc.decided {
-				// A live session only withdraws clients whose verification
-				// never completed; withdrawing a decided client is not a
-				// state a Session can produce.
-				return fmt.Errorf("vdp: board log record %d: withdrawal of decided client %d", i, id)
-			}
-			delete(st.byID, id)
-			st.removeFromOrder(rc)
-		case RecordSeal:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: epoch %d sealed twice", i, st.epoch)
-			}
-			st.sealed = true
-			st.sealBytes = rec.Payload
-		case RecordSealChunk:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: epoch %d sealed twice", i, st.epoch)
-			}
-			done, err := st.seal.add(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: %w", i, err)
-			}
-			if done != nil {
-				st.sealed = true
-				st.sealBytes = done
-			}
-		case RecordBudgetCharge:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: budget charge after epoch %d was sealed", i, st.epoch)
-			}
-			id, chEpoch, _, _, _, err := decodeBudgetCharge(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: %w", i, err)
-			}
-			if chEpoch != st.epoch {
-				return fmt.Errorf("vdp: board log record %d: budget charge pins epoch %d, current epoch is %d",
-					i, chEpoch, st.epoch)
-			}
-			if _, ok := st.byID[id]; !ok {
-				// A session only charges a client whose submission record is
-				// already on the log (the charge follows it in the same
-				// commit window).
-				return fmt.Errorf("vdp: board log record %d: budget charge for unknown client %d", i, id)
-			}
-			if st.charged[id] {
-				return fmt.Errorf("vdp: board log record %d: client %d charged twice in epoch %d", i, id, st.epoch)
-			}
-			st.charged[id] = true
-		case RecordReset:
-			st.epoch++
-			st.sealed = false
-			st.sealBytes = nil
-			st.seal = sealAssembly{}
-			st.order = nil
-			st.byID = make(map[int]*replayedClient)
-			st.charged = make(map[int]bool)
-		case RecordSnapshot:
-			if !st.sealed {
-				return fmt.Errorf("vdp: board log record %d: snapshot of epoch %d, which is not sealed", i, st.epoch)
-			}
-			snapEpoch, digest, err := decodeSnapshot(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: snapshot: %w", i, err)
-			}
-			if snapEpoch != st.epoch {
-				return fmt.Errorf("vdp: board log record %d: snapshot pins epoch %d, current epoch is %d",
-					i, snapEpoch, st.epoch)
-			}
-			d, err := transcriptDigestFromBytes(pub, st.sealBytes)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: sealed transcript: %w", i, err)
-			}
-			if !bytes.Equal(d, digest) {
-				return fmt.Errorf("vdp: board log record %d: snapshot digest for epoch %d disagrees with its seal",
-					i, st.epoch)
-			}
-			// The snapshot is the epoch boundary: open the next epoch.
-			st.epoch++
-			st.sealed = false
-			st.sealBytes = nil
-			st.seal = sealAssembly{}
-			st.order = nil
-			st.byID = make(map[int]*replayedClient)
-			st.charged = make(map[int]bool)
-		default:
-			return fmt.Errorf("vdp: board log record %d: unknown kind %d", i, rec.Kind)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 // ResumeSession reconstructs a session from its board log after a restart.
 // The log is replayed to the last epoch boundary: sealed and reset epochs
 // are skipped over, and the final epoch's submissions are re-admitted in
@@ -588,19 +381,30 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	if snap != nil {
 		skipTo, startEpoch = snap.index, snap.epoch+1
 	}
-	st, err := replayLogFrom(pub, opts.Store, skipTo, startEpoch)
+	g := newBoardGrammar(pub, startEpoch)
+	i := -1
+	err = opts.Store.Replay(func(rec *store.Record) error {
+		if i++; i <= skipTo {
+			return nil
+		}
+		if _, err := g.step(rec); err != nil {
+			return fmt.Errorf("vdp: board log record %d: %w", i, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	st := g.ep
 	s := newSessionFromSource(NewEngine(pub, opts.Parallelism), opts, root)
 	s.resumed = true
-	s.epoch = st.epoch
-	s.rs = s.root.fork(st.epoch)
+	s.epoch = st.n
+	s.rs = s.root.fork(st.n)
 	if st.sealed {
 		s.state = sessionFinalized
-		t, err := pub.DecodeTranscript(st.sealBytes)
+		t, err := st.seal.transcript(pub)
 		if err != nil {
-			return nil, fmt.Errorf("vdp: sealed transcript for epoch %d: %w", st.epoch, err)
+			return nil, fmt.Errorf("vdp: sealed transcript for epoch %d: %w", st.n, err)
 		}
 		s.sealedT = t
 	}
@@ -622,14 +426,14 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	for _, rc := range st.order {
 		id := rc.sub.Public.ID
 		cl := &sessionClient{public: rc.sub.Public, payloads: rc.sub.Payloads}
-		if !rc.decided && !st.sealed && s.ledger != nil && !s.ledger.canCharge(st.epoch, id) {
+		if !rc.decided && !st.sealed && s.ledger != nil && !s.ledger.canCharge(st.n, id) {
 			// The crash interrupted a budget refusal (submission record down,
 			// refusal verdict lost). Re-refuse exactly as the live session
 			// would have: verdict on the log, ID reserved off-board, no
 			// charge, no verification.
 			refusal := budgetRefusalError(id, s.ledger.spent[id], s.ledger.cfg.EpochCost, s.ledger.cfg.Total)
 			rc.decided, rc.reject, rc.onBoard = true, refusal, false
-			if err := s.appendRecord(RecordVerdict, st.epoch, encodeVerdict(id, refusal, false)); err != nil {
+			if err := s.appendRecord(RecordVerdict, st.n, encodeVerdict(id, refusal, false)); err != nil {
 				return nil, err
 			}
 		} else if !rc.decided && !st.sealed {
@@ -637,8 +441,8 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 				// An admitted client without a charge means the crash beat the
 				// charge append; converge by charging now, like the live
 				// admission would have.
-				if payload, commit := s.ledger.prepareCharge(st.epoch, id); payload != nil {
-					if err := s.appendRecord(RecordBudgetCharge, st.epoch, payload); err != nil {
+				if payload, commit := s.ledger.prepareCharge(st.n, id); payload != nil {
+					if err := s.appendRecord(RecordBudgetCharge, st.n, payload); err != nil {
 						return nil, err
 					}
 					commit()
@@ -653,7 +457,7 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 					return nil, fmt.Errorf("vdp: re-verifying client %d during resume: %w", id, err)
 				}
 				rc.decided, rc.reject, rc.onBoard = true, verdict, onBoard
-				if err := s.appendRecord(RecordVerdict, st.epoch, encodeVerdict(id, verdict, onBoard)); err != nil {
+				if err := s.appendRecord(RecordVerdict, st.n, encodeVerdict(id, verdict, onBoard)); err != nil {
 					return nil, err
 				}
 			}
@@ -664,8 +468,8 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 		if rc.reject != nil {
 			s.rejected[cl.public.ID] = rc.reject
 		}
-		if rc.decided && rc.reject != nil && !rc.onBoard {
-			// Payload-refused: ID stays reserved, public part never reaches
+		if rc.offBoard() {
+			// Refused off the board: ID stays reserved, public part never reaches
 			// the board — same as the live Submit path.
 			continue
 		}
@@ -695,197 +499,114 @@ func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, worke
 		}
 		epoch = sealed[len(sealed)-1]
 	}
-	_, err := auditLogEpoch(ctx, pub, log, epoch, workers)
+	_, _, err := auditLogEpoch(ctx, pub, log, epoch, workers)
 	return err
 }
 
-// auditLogEpoch is the per-epoch core of AuditLog: it replays one epoch's
-// records with the hardened grammar, cross-checks the seal against the
-// per-arrival evidence, fully re-verifies the sealed transcript, and returns
-// it (so the sharded auditor can merge per-shard verdicts).
-func auditLogEpoch(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers int) (*Transcript, error) {
-	er := struct {
-		seal    []byte
-		snap    []byte         // digest pinned by the epoch's snapshot, if compacted
-		pubs    map[int][]byte // client ID -> encoded ClientPublic from submissions
-		onBoard map[int]bool   // verdict-recorded board membership
-		charged map[int]bool   // budget-charge records seen this epoch
-		refused map[int]bool   // verdicts carrying the budget-refusal marker
-	}{pubs: make(map[int][]byte), onBoard: make(map[int]bool), charged: make(map[int]bool), refused: make(map[int]bool)}
-	var chunks sealAssembly
+// auditLogEpoch is the per-epoch core of AuditLog: it runs the board-log
+// grammar over the log — decoding only the audited epoch's records, while
+// every other record is held to the epoch sequence — then cross-checks the
+// seal against the arrival evidence, fully re-verifies the sealed
+// transcript, and returns it with its digest (so the multi-segment auditors
+// can merge per-segment verdicts).
+func auditLogEpoch(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers int) (*Transcript, []byte, error) {
+	g := newBoardGrammar(pub, 0)
+	var ep *boardEpoch // the audited epoch's grammar state, once it opens
+	i := -1
 	err := log.Replay(func(rec *store.Record) error {
-		if int(rec.Epoch) != epoch {
-			return nil
+		i++
+		var err error
+		if int(rec.Epoch) == epoch {
+			if g.ep.n == epoch {
+				ep = g.ep
+			}
+			_, err = g.step(rec)
+		} else {
+			err = g.skip(rec)
 		}
-		// The live session appends nothing to an epoch after sealing it
-		// except the Reset or Snapshot that closes it (Finalize drains
-		// in-flight Submits first), and nothing interleaves with a chunked
-		// seal's append loop. Any other record following (or splicing into)
-		// the seal is log tampering — typically an attempt to erase or
-		// rewrite the evidence the cross-check below relies on.
-		if er.seal != nil && rec.Kind != RecordReset && rec.Kind != RecordSnapshot {
-			return fmt.Errorf("%w: epoch %d has records after its seal", ErrAuditFail, epoch)
-		}
-		if chunks.inProgress() && rec.Kind != RecordSealChunk {
-			return fmt.Errorf("%w: epoch %d has records interleaved with its seal chunks", ErrAuditFail, epoch)
-		}
-		// Per-record grammar identical to replayLog's: the auditor must
-		// never certify a log the server's own recovery would refuse.
-		switch rec.Kind {
-		case RecordSubmission:
-			sub, err := pub.DecodeClientSubmission(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: board log submission: %v", ErrAuditFail, err)
-			}
-			id := sub.Public.ID
-			if _, has := er.pubs[id]; has {
-				if _, decided := er.onBoard[id]; decided {
-					return fmt.Errorf("%w: epoch %d holds a duplicate submission from decided client %d",
-						ErrAuditFail, epoch, id)
-				}
-				// Undecided earlier submission + retry = lost withdrawal;
-				// the retry supersedes it, as in replayLog.
-			}
-			er.pubs[id] = pub.EncodeClientPublic(sub.Public)
-		case RecordVerdict:
-			id, reject, onBoard, err := decodeVerdict(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: board log verdict: %v", ErrAuditFail, err)
-			}
-			if _, has := er.pubs[id]; !has {
-				return fmt.Errorf("%w: epoch %d holds a verdict for unknown client %d", ErrAuditFail, epoch, id)
-			}
-			er.onBoard[id] = onBoard
-			if reject != nil && !onBoard && isBudgetRefusalReason(reject.Error()) {
-				er.refused[id] = true
-			}
-		case RecordWithdraw:
-			id, err := decodeWithdraw(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: board log withdrawal: %v", ErrAuditFail, err)
-			}
-			if _, has := er.pubs[id]; !has {
-				return fmt.Errorf("%w: epoch %d withdraws unknown client %d", ErrAuditFail, epoch, id)
-			}
-			if _, decided := er.onBoard[id]; decided {
-				// A session only withdraws clients whose verification never
-				// completed; a withdrawal of a verdict-decided client is a
-				// forgery trying to erase that client from the cross-check.
-				return fmt.Errorf("%w: epoch %d withdraws client %d after its verdict was recorded",
-					ErrAuditFail, epoch, id)
-			}
-			delete(er.pubs, id)
-			delete(er.onBoard, id)
-		case RecordSeal:
-			er.seal = rec.Payload
-		case RecordSealChunk:
-			done, err := chunks.add(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrAuditFail, err)
-			}
-			if done != nil {
-				er.seal = done
-			}
-		case RecordBudgetCharge:
-			id, chEpoch, _, _, _, err := decodeBudgetCharge(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: board log budget charge: %v", ErrAuditFail, err)
-			}
-			if chEpoch != epoch {
-				return fmt.Errorf("%w: epoch %d holds a budget charge pinning epoch %d", ErrAuditFail, epoch, chEpoch)
-			}
-			if _, has := er.pubs[id]; !has {
-				return fmt.Errorf("%w: epoch %d charges unknown client %d", ErrAuditFail, epoch, id)
-			}
-			if er.charged[id] {
-				return fmt.Errorf("%w: epoch %d charges client %d twice", ErrAuditFail, epoch, id)
-			}
-			er.charged[id] = true
-		case RecordReset:
-			// The epoch-closing marker carries no evidence.
-		case RecordSnapshot:
-			if er.seal == nil {
-				return fmt.Errorf("%w: epoch %d snapshots before its seal", ErrAuditFail, epoch)
-			}
-			if er.snap != nil {
-				return fmt.Errorf("%w: epoch %d snapshots twice", ErrAuditFail, epoch)
-			}
-			snapEpoch, digest, err := decodeSnapshot(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: board log snapshot: %v", ErrAuditFail, err)
-			}
-			if snapEpoch != epoch {
-				return fmt.Errorf("%w: epoch %d snapshot pins epoch %d", ErrAuditFail, epoch, snapEpoch)
-			}
-			er.snap = digest
-		default:
-			// Reject what a Session cannot have written, mirroring
-			// replayLog: the auditor must never certify a log the server's
-			// own recovery would refuse.
-			return fmt.Errorf("%w: epoch %d holds a record of unknown kind %d", ErrAuditFail, epoch, rec.Kind)
+		if err != nil {
+			return fmt.Errorf("%w: board log record %d: %v", ErrAuditFail, i, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if ep == nil || !ep.sealed {
+		return nil, nil, fmt.Errorf("%w: epoch %d is not sealed in the board log", ErrAuditFail, epoch)
 	}
 	// Ledger cross-checks. The charge chain spans epochs (budgets are
 	// lifetime state), so its integrity is verified over the whole log — a
-	// cheap scan that decodes only charge records. Within the audited epoch,
-	// the charging policy must hold: a budget-refused client is never
-	// charged, and — whenever the ledger was active this epoch — every other
-	// decided client was charged exactly once at admission.
+	// cheap scan that decodes only charge records. Within the audited epoch
+	// the charging policy must hold wherever the log shows the ledger ran.
 	if _, lerr := replayLedger(log, nil); lerr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrAuditFail, lerr)
+		return nil, nil, fmt.Errorf("%w: %v", ErrAuditFail, lerr)
 	}
-	for id := range er.refused {
-		if er.charged[id] {
-			return nil, fmt.Errorf("%w: epoch %d refused client %d over budget but charged it anyway", ErrAuditFail, epoch, id)
-		}
+	if id, ok := ep.uncharged(false); ok {
+		return nil, nil, fmt.Errorf("%w: epoch %d admitted client %d without a budget charge", ErrAuditFail, epoch, id)
 	}
-	if len(er.charged) > 0 || len(er.refused) > 0 {
-		for id := range er.onBoard {
-			if !er.refused[id] && !er.charged[id] {
-				return nil, fmt.Errorf("%w: epoch %d decided client %d without a budget charge", ErrAuditFail, epoch, id)
-			}
-		}
-	}
-	if er.seal == nil {
-		return nil, fmt.Errorf("%w: epoch %d is not sealed in the board log", ErrAuditFail, epoch)
-	}
-	t, err := pub.DecodeTranscript(er.seal)
+	t, err := ep.seal.transcript(pub)
 	if err != nil {
-		return nil, fmt.Errorf("%w: sealed transcript for epoch %d: %v", ErrAuditFail, epoch, err)
-	}
-	if er.snap != nil && !bytes.Equal(er.snap, TranscriptDigest(pub, t)) {
-		// A compacted epoch's snapshot is what later boots trust instead of
-		// this evidence — it must pin exactly the transcript the log sealed.
-		return nil, fmt.Errorf("%w: epoch %d snapshot digest disagrees with its seal", ErrAuditFail, epoch)
+		return nil, nil, fmt.Errorf("%w: sealed transcript for epoch %d: %v", ErrAuditFail, epoch, err)
 	}
 
-	// The seal must agree with the log's own arrival records: every client
-	// on the sealed board was logged at Submit time with identical bytes,
-	// and every client the log marked board-worthy made it onto the seal.
-	onSeal := make(map[int]bool, len(t.Clients))
-	for _, cp := range t.Clients {
-		onSeal[cp.ID] = true
-		logged, ok := er.pubs[cp.ID]
-		if !ok {
-			return nil, fmt.Errorf("%w: epoch %d seal lists client %d, but the log holds no submission for it",
-				ErrAuditFail, epoch, cp.ID)
-		}
-		if sealed := pub.EncodeClientPublic(cp); string(sealed) != string(logged) {
-			return nil, fmt.Errorf("%w: epoch %d seal disagrees with the logged submission of client %d",
-				ErrAuditFail, epoch, cp.ID)
-		}
+	// The seal must list exactly the log's roster: every sealed client was
+	// logged at Submit time with identical bytes and kept on the board, and
+	// every roster client made it onto the seal. The check is set-based; a
+	// live tail additionally pins each client's seal position.
+	logged := make(map[int][]byte, len(ep.order))
+	for _, c := range ep.roster() {
+		logged[c.sub.Public.ID] = c.raw
 	}
-	for id, board := range er.onBoard {
-		if board && !onSeal[id] {
-			return nil, fmt.Errorf("%w: epoch %d: client %d was admitted to the board but is missing from the seal",
+	for i, cp := range t.Clients {
+		raw, ok := logged[cp.ID]
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: epoch %d seal lists client %d, which the log holds no board submission for",
+				ErrAuditFail, epoch, cp.ID)
+		}
+		if !bytes.Equal(raw, ep.seal.clientRaw[i]) {
+			return nil, nil, fmt.Errorf("%w: epoch %d seal disagrees with the logged submission of client %d",
+				ErrAuditFail, epoch, cp.ID)
+		}
+		delete(logged, cp.ID)
+	}
+	for id := range logged {
+		return nil, nil, fmt.Errorf("%w: epoch %d: client %d was admitted to the board but is missing from the seal",
+			ErrAuditFail, epoch, id)
+	}
+	rejected, err := auditBoard(ctx, pub, t, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Every logged verdict must agree with the proofs, as the live tail
+	// checks on arrival: an accepted client's board proof verifies, a
+	// client rejected on the board has a failing one, and a payload dispute
+	// (refused off the board) implies the board proof passed. Budget
+	// refusals are decided before any verification.
+	var disputed []*ClientPublic
+	for _, c := range ep.order {
+		id := c.sub.Public.ID
+		_, bad := rejected[id]
+		switch {
+		case !c.decided || c.overBudget:
+		case c.offBoard():
+			disputed = append(disputed, c.sub.Public)
+		case (c.reject == nil) == bad:
+			return nil, nil, fmt.Errorf("%w: epoch %d logs a verdict for client %d that its board proof contradicts",
 				ErrAuditFail, epoch, id)
 		}
 	}
-	return t, auditParallel(ctx, pub, t, workers)
+	if len(disputed) > 0 {
+		_, bad, err := pub.filterValidClientsBatch(ctx, disputed, NewEngine(pub, workers).Workers())
+		if err != nil {
+			return nil, nil, err
+		}
+		for id := range bad {
+			return nil, nil, fmt.Errorf("%w: epoch %d refused client %d off-board as a payload dispute, but its board proof fails",
+				ErrAuditFail, epoch, id)
+		}
+	}
+	return t, ep.seal.digest(pub), nil
 }
 
 // SealedEpochs returns the epochs a board log has sealed, in order. A

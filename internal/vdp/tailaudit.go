@@ -3,8 +3,6 @@ package vdp
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -17,18 +15,19 @@ import (
 
 // Live audit tail: the analytical half of the board split. AuditLog
 // re-verifies a sealed epoch from scratch — O(epoch) work after the fact —
-// while a TailAuditor follows the board log as it is written, spending the
-// per-client verification work at arrival time and carrying three pieces of
-// rolling state: the arrival-grammar machine (the same
-// submission/verdict/withdraw/seal grammar replayLog and AuditLog enforce),
-// a roster shadow (every client's logged bytes in board order), and the
-// running Line-13 client product (the Σ-OR-vetted share commitments of every
-// roster client, folded per bin and prover as verdicts land). At seal time
-// the remaining work is O(M·nb·K) — fold the accumulator into the adjusted
-// coin commitments, byte-compare the sealed client section against the
-// shadow, re-derive the release — independent of how many clients the epoch
-// admitted. Any third party holding the log can follow the bulletin board
-// live, which is the paper's public-verifiability story made continuous.
+// while a TailAuditor follows the board log as it is written. It runs the
+// records through the same board-log grammar recovery and AuditLog run
+// (grammar.go), and adds two pieces of rolling state on top: a Σ-OR window
+// that verifies each arrival's board proof (so every logged verdict is
+// cross-checked against the cryptography record by record), and the running
+// Line-13 client product (the share commitments of every roster client,
+// folded per bin and prover as verdicts land). At seal time the remaining
+// work is O(M·nb·K) — fold the accumulator into the adjusted coin
+// commitments, byte-compare the sealed client section against the roster,
+// re-derive the release — independent of how many clients the epoch
+// admitted. The one place the tail is stricter than AuditLog is positional
+// order: the tail pins every client's seal position to its arrival order,
+// while the offline audit compares the two rosters as sets.
 
 // TailOptions configures a live audit tail.
 type TailOptions struct {
@@ -51,21 +50,6 @@ type TailOptions struct {
 
 // defaultTailWindow is the submission batch a tail verifies at once.
 const defaultTailWindow = 64
-
-// tailClient is one roster-shadow entry: a submission the tail has seen,
-// with where it saw it (for error attribution) and what it concluded.
-type tailClient struct {
-	raw        []byte // the submission's encoded ClientPublic, as logged
-	pub        *ClientPublic
-	offset     int64 // submission record offset in the log
-	index      int   // submission record index
-	checked    bool  // board proof decided by the batched Σ-OR check
-	valid      bool  // board proof verdict
-	decided    bool  // a verdict record landed
-	reject     bool  // that verdict was a rejection
-	overBudget bool  // that verdict was a budget refusal (never verified)
-	folded     bool  // share commitments folded into the running product
-}
 
 // TailAuditor incrementally audits one board log (or one shard segment).
 // Records are consumed in append order — via Feed, or by Poll draining an
@@ -90,23 +74,22 @@ type TailAuditor struct {
 	shardCount int
 
 	recIdx  int // records consumed, all epochs
-	epoch   int
-	order   []*tailClient
-	byID    map[int]*tailClient
-	pending []*tailClient
+	g       *boardGrammar
+	pending []*boardClient // submissions awaiting the batched Σ-OR check
 	// prod[j][pk] is the running product of the roster clients' share
 	// commitments for bin j, prover pk — Line 13's client factor, built as
 	// verdicts land so the seal-time check never walks the roster again.
 	prod    [][]*pedersen.Commitment
-	sealed  bool
-	sealAsm sealAssembly
-	digest  []byte
+	digest  []byte         // the live epoch's verified digest, once sealed
 	history map[int][]byte // sealed epoch -> verified digest
 	// ledger replays the budget-charge chain across epochs (budgets are
-	// lifetime state, so clearEpoch never touches it). Chain integrity is
-	// always enforced; policy checks additionally when TailOptions.Budget
+	// lifetime state, so epoch boundaries never touch it). Chain integrity
+	// is always enforced; policy checks additionally when TailOptions.Budget
 	// was provided.
 	ledger *budgetLedger
+	// onSeal, when set, receives every verified epoch's roster (client IDs
+	// in seal order); a multi-segment tail checks its roster rule there.
+	onSeal func(epoch int, ids []int) error
 }
 
 // NewTailAuditor creates a live auditor for a single board log. Feed it
@@ -125,7 +108,7 @@ func NewTailAuditor(pub *Public, opts TailOptions) *TailAuditor {
 		workers:    workers,
 		window:     window,
 		shardCount: 1,
-		byID:       make(map[int]*tailClient),
+		g:          newBoardGrammar(pub, 0),
 		history:    make(map[int][]byte),
 		ledger:     newBudgetLedger(opts.Budget),
 	}
@@ -216,209 +199,88 @@ func (a *TailAuditor) errAt(off int64, format string, args ...any) error {
 	return fmt.Errorf("%w: tail record %d (offset %d): %s", ErrAuditFail, a.recIdx, off, fmt.Sprintf(format, args...))
 }
 
-// consume runs one record through the arrival grammar and rolling state.
-// The grammar is replayLog's, hardened with AuditLog's cross-checks: the
-// tail never certifies a log the server's own recovery would refuse.
+// consume runs one record through the board-log grammar, then through the
+// tail's own verification of what the record claims.
 func (a *TailAuditor) consume(rec *store.Record, off int64) error {
-	if int(rec.Epoch) != a.epoch {
-		return a.errAt(off, "belongs to epoch %d, live epoch is %d", rec.Epoch, a.epoch)
-	}
-	if a.sealAsm.inProgress() && rec.Kind != RecordSealChunk {
-		return a.errAt(off, "kind %d interleaved with epoch %d's seal chunks", rec.Kind, a.epoch)
-	}
-	if a.sealed && rec.Kind != RecordReset && rec.Kind != RecordSnapshot {
-		return a.errAt(off, "kind %d after epoch %d was sealed", rec.Kind, a.epoch)
+	c, err := a.g.step(rec)
+	if err != nil {
+		return a.errAt(off, "%v", err)
 	}
 	switch rec.Kind {
 	case RecordSubmission:
-		return a.consumeSubmission(rec, off)
+		id := c.sub.Public.ID
+		if a.shardCount > 1 {
+			if want := ShardOf(id, a.shardCount); want != a.shardIdx {
+				return a.errAt(off, "client %d belongs to shard %d, not shard %d", id, want, a.shardIdx)
+			}
+		}
+		c.offset = off
+		a.pending = append(a.pending, c)
+		if len(a.pending) >= a.window {
+			return a.flushPending()
+		}
 	case RecordVerdict:
-		return a.consumeVerdict(rec, off)
+		return a.checkVerdict(c, off)
 	case RecordBudgetCharge:
-		return a.consumeCharge(rec, off)
-	case RecordWithdraw:
-		id, err := decodeWithdraw(rec.Payload)
-		if err != nil {
-			return a.errAt(off, "withdrawal: %v", err)
-		}
-		rc, ok := a.byID[id]
-		if !ok {
-			return a.errAt(off, "withdrawal of unknown client %d", id)
-		}
-		if rc.decided {
-			// A session only withdraws clients whose verification never
-			// completed; this is a forgery trying to erase a decided client.
-			return a.errAt(off, "withdrawal of decided client %d (verdict already on the board)", id)
-		}
-		delete(a.byID, id)
-		a.drop(rc)
-		return nil
-	case RecordSeal:
-		return a.verifySeal(rec.Payload, off)
-	case RecordSealChunk:
-		done, err := a.sealAsm.add(rec.Payload)
-		if err != nil {
+		if err := a.ledger.apply(rec.Payload); err != nil {
 			return a.errAt(off, "%v", err)
 		}
-		if done != nil {
-			return a.verifySeal(done, off)
+	case RecordSeal, RecordSealChunk:
+		if ep := a.g.ep; ep.sealed {
+			if err := a.verifySeal(ep.seal, off); err != nil {
+				return err
+			}
+			if a.onSeal != nil {
+				ids := make([]int, len(ep.seal.clientRaw))
+				for i, c := range ep.roster() {
+					ids[i] = c.sub.Public.ID
+				}
+				if err := a.onSeal(ep.n, ids); err != nil {
+					return a.errAt(off, "%v", err)
+				}
+			}
 		}
-		return nil
-	case RecordReset:
-		a.epoch++
-		a.clearEpoch()
-		return nil
-	case RecordSnapshot:
-		if !a.sealed {
-			return a.errAt(off, "snapshot of epoch %d, which is not sealed", a.epoch)
-		}
-		snapEpoch, d, err := decodeSnapshot(rec.Payload)
-		if err != nil {
-			return a.errAt(off, "snapshot: %v", err)
-		}
-		if snapEpoch != a.epoch {
-			return a.errAt(off, "snapshot pins epoch %d, live epoch is %d", snapEpoch, a.epoch)
-		}
-		if !bytes.Equal(d, a.digest) {
-			return a.errAt(off, "snapshot digest for epoch %d disagrees with the live audit", a.epoch)
-		}
-		a.epoch++
-		a.clearEpoch()
-		return nil
-	default:
-		return a.errAt(off, "unknown kind %d", rec.Kind)
-	}
-}
-
-func (a *TailAuditor) consumeSubmission(rec *store.Record, off int64) error {
-	sub, err := a.pub.DecodeClientSubmission(rec.Payload)
-	if err != nil {
-		return a.errAt(off, "submission: %v", err)
-	}
-	// The raw ClientPublic bytes, exactly as logged: the seal walk compares
-	// the sealed client section against these, byte for byte.
-	r := wireReader{b: rec.Payload}
-	r.version()
-	raw := r.lpBytes()
-	if r.err != nil {
-		return a.errAt(off, "submission: %v", r.err)
-	}
-	id := sub.Public.ID
-	if a.shardCount > 1 {
-		if want := ShardOf(id, a.shardCount); want != a.shardIdx {
-			return a.errAt(off, "client %d belongs to shard %d, not shard %d", id, want, a.shardIdx)
-		}
-	}
-	if prev, dup := a.byID[id]; dup {
-		if prev.decided {
-			return a.errAt(off, "duplicate submission from decided client %d", id)
-		}
-		// Undecided earlier submission + retry = lost withdrawal; the retry
-		// supersedes it, exactly as replayLog resolves the same log.
-		a.drop(prev)
-	}
-	cl := &tailClient{raw: raw, pub: sub.Public, offset: off, index: a.recIdx}
-	a.byID[id] = cl
-	a.order = append(a.order, cl)
-	a.pending = append(a.pending, cl)
-	if len(a.pending) >= a.window {
-		return a.flushPending()
+	case RecordReset, RecordSnapshot:
+		a.pending, a.prod, a.digest = nil, nil, nil
 	}
 	return nil
 }
 
-// consumeCharge replays one budget-charge record through the tail's ledger:
-// the chain link, cumulative arithmetic, and — when the tail knows the
-// policy — amount and cap are all re-verified, and the charge must name a
-// roster client of the live epoch that was not refused over budget.
-func (a *TailAuditor) consumeCharge(rec *store.Record, off int64) error {
-	id, chEpoch, _, _, _, err := decodeBudgetCharge(rec.Payload)
-	if err != nil {
-		return a.errAt(off, "budget charge: %v", err)
-	}
-	if chEpoch != a.epoch {
-		return a.errAt(off, "budget charge pins epoch %d, live epoch is %d", chEpoch, a.epoch)
-	}
-	rc, ok := a.byID[id]
-	if !ok {
-		return a.errAt(off, "budget charge for unknown client %d", id)
-	}
-	if rc.overBudget {
-		return a.errAt(off, "budget charge for client %d, which was refused over budget", id)
-	}
-	if err := a.ledger.apply(rec.Payload); err != nil {
-		return a.errAt(off, "%v", err)
-	}
-	return nil
-}
-
-func (a *TailAuditor) consumeVerdict(rec *store.Record, off int64) error {
-	id, reject, onBoard, err := decodeVerdict(rec.Payload)
-	if err != nil {
-		return a.errAt(off, "verdict: %v", err)
-	}
-	rc, ok := a.byID[id]
-	if !ok {
-		return a.errAt(off, "verdict for unknown client %d", id)
-	}
-	if rc.decided {
-		// A session writes exactly one verdict per admitted submission; a
-		// second one is an attempt to flip an already-public outcome.
-		return a.errAt(off, "second verdict for client %d", id)
-	}
-	if reject != nil && !onBoard && isBudgetRefusalReason(reject.Error()) {
+// checkVerdict cross-checks a logged verdict against the tail's own
+// verification: the log's claim and the cryptography must agree, record by
+// record.
+func (a *TailAuditor) checkVerdict(c *boardClient, off int64) error {
+	id := c.sub.Public.ID
+	if c.overBudget {
 		// A budget refusal is decided before any verification runs, so the
-		// proof cross-check table below does not apply — the tail instead
-		// verifies the refusal's *justification* against its replayed ledger
-		// (when it knows the policy): a server claiming exhaustion for a
-		// client whose spend affords another epoch is suppressing data.
-		if a.ledger.cfg != nil {
-			if a.ledger.chargedInEpoch(a.epoch, id) {
-				return a.errAt(off, "client %d refused over budget after being charged this epoch", id)
-			}
-			if a.ledger.spent[id]+a.ledger.cfg.EpochCost <= a.ledger.cfg.Total {
-				return a.errAt(off, "client %d refused over budget, but its replayed spend (%d of %d µε) affords another epoch",
-					id, a.ledger.spent[id], a.ledger.cfg.Total)
-			}
+		// proof cross-check below does not apply — the tail instead verifies
+		// the refusal's *justification* against its replayed ledger (when it
+		// knows the policy): a server claiming exhaustion for a client whose
+		// spend affords another epoch is suppressing data.
+		if cfg := a.ledger.cfg; cfg != nil && a.ledger.spent[id]+cfg.EpochCost <= cfg.Total {
+			return a.errAt(off, "client %d refused over budget, but its replayed spend (%d of %d µε) affords another epoch",
+				id, a.ledger.spent[id], cfg.Total)
 		}
-		rc.decided = true
-		rc.reject = true
-		rc.overBudget = true
-		// Off-board like a payload refusal: the ID stays reserved, the
-		// public part never joins the roster shadow or the Σ-OR window.
-		a.drop(rc)
 		return nil
 	}
-	if !rc.checked {
+	if !c.checked {
 		if err := a.flushPending(); err != nil {
 			return err
 		}
 	}
-	// Cross-check the logged verdict against this tail's own verification:
-	// the log's claim and the cryptography must agree, record by record.
 	switch {
-	case reject == nil && !onBoard:
-		// Session.verify never accepts off-board: acceptance means every
-		// check passed, and passing clients are posted.
-		return a.errAt(off, "client %d accepted but marked off-board — no session writes this", id)
-	case reject == nil && !rc.valid:
-		return a.errAt(off, "client %d accepted, but its board proof fails (submission at offset %d)", id, rc.offset)
-	case reject != nil && onBoard && rc.valid:
-		return a.errAt(off, "client %d rejected on the board, but its board proof verifies (submission at offset %d)", id, rc.offset)
-	case reject != nil && !onBoard && !rc.valid:
+	case c.reject == nil && !c.valid:
+		return a.errAt(off, "client %d accepted, but its board proof fails (submission at offset %d)", id, c.offset)
+	case c.reject != nil && c.onBoard && c.valid:
+		return a.errAt(off, "client %d rejected on the board, but its board proof verifies (submission at offset %d)", id, c.offset)
+	case c.reject != nil && !c.onBoard && !c.valid:
 		// A payload (private-channel) rejection implies the board proof
 		// passed — Session.verify decides the board first and attributes
 		// board failures as on-board verdicts.
-		return a.errAt(off, "client %d refused off-board as a payload dispute, but its board proof fails (submission at offset %d)", id, rc.offset)
+		return a.errAt(off, "client %d refused off-board as a payload dispute, but its board proof fails (submission at offset %d)", id, c.offset)
 	}
-	rc.decided = true
-	rc.reject = reject != nil
-	if reject == nil {
-		a.fold(rc)
-	} else if !onBoard {
-		// Payload-refused: the public part never reaches the board, exactly
-		// like Session's removeFromOrderLocked; the ID stays reserved.
-		a.drop(rc)
+	if c.reject == nil {
+		a.fold(c)
 	}
 	return nil
 }
@@ -426,32 +288,40 @@ func (a *TailAuditor) consumeVerdict(rec *store.Record, off int64) error {
 // flushPending decides every pending submission's board proof with one
 // batched Σ-OR check — the same filterValidClientsBatch the session and the
 // offline auditor use, so all three always reach identical verdicts.
+// Submissions the grammar has since dropped (superseded, withdrawn, refused
+// over budget) are skipped.
 func (a *TailAuditor) flushPending() error {
-	if len(a.pending) == 0 {
+	ep := a.g.ep
+	live := a.pending[:0]
+	for _, c := range a.pending {
+		if ep.byID[c.sub.Public.ID] == c && !c.overBudget {
+			live = append(live, c)
+		}
+	}
+	a.pending = nil
+	if len(live) == 0 {
 		return nil
 	}
-	pubs := make([]*ClientPublic, len(a.pending))
-	for i, cl := range a.pending {
-		pubs[i] = cl.pub
+	pubs := make([]*ClientPublic, len(live))
+	for i, c := range live {
+		pubs[i] = c.sub.Public
 	}
 	_, rejected, err := a.pub.filterValidClientsBatch(context.Background(), pubs, a.workers)
 	if err != nil {
 		return err
 	}
-	for _, cl := range a.pending {
-		cl.checked = true
-		_, bad := rejected[cl.pub.ID]
-		cl.valid = !bad
+	for _, c := range live {
+		_, bad := rejected[c.sub.Public.ID]
+		c.checked, c.valid = true, !bad
 	}
-	a.pending = a.pending[:0]
 	return nil
 }
 
 // fold accumulates one roster client's share commitments into the running
 // Line-13 product. Commitment Add is immutable, so seal-time reads copy
 // freely.
-func (a *TailAuditor) fold(rc *tailClient) {
-	if rc.folded || !rc.valid {
+func (a *TailAuditor) fold(c *boardClient) {
+	if c.folded || !c.valid {
 		return
 	}
 	m := a.pub.cfg.Bins
@@ -467,84 +337,55 @@ func (a *TailAuditor) fold(rc *tailClient) {
 	}
 	for j := 0; j < m; j++ {
 		for pk := 0; pk < k; pk++ {
-			a.prod[j][pk] = a.prod[j][pk].Add(rc.pub.ShareCommitments[j][pk])
+			a.prod[j][pk] = a.prod[j][pk].Add(c.sub.Public.ShareCommitments[j][pk])
 		}
 	}
-	rc.folded = true
-}
-
-// drop splices a client out of the roster shadow (and the unchecked
-// window).
-func (a *TailAuditor) drop(rc *tailClient) {
-	for i, c := range a.order {
-		if c == rc {
-			a.order = append(a.order[:i], a.order[i+1:]...)
-			break
-		}
-	}
-	for i, c := range a.pending {
-		if c == rc {
-			a.pending = append(a.pending[:i], a.pending[i+1:]...)
-			break
-		}
-	}
-}
-
-// clearEpoch resets the per-epoch rolling state at an epoch boundary.
-func (a *TailAuditor) clearEpoch() {
-	a.order = nil
-	a.byID = make(map[int]*tailClient)
-	a.pending = nil
-	a.prod = nil
-	a.sealed = false
-	a.sealAsm = sealAssembly{}
-	a.digest = nil
+	c.folded = true
 }
 
 // verifySeal is the O(1) seal-time check (constant in the epoch's client
 // count): flush the last unchecked window, byte-compare the sealed client
-// section against the roster shadow, then verify only the O(M·nb·K) tail —
-// coin proofs, Morra coins, the Line-13 equation with the pre-folded client
-// product, and the aggregation — and derive the transcript digest without
-// ever re-decoding a client.
-func (a *TailAuditor) verifySeal(sealBytes []byte, off int64) error {
+// section against the roster in arrival order, then verify only the
+// O(M·nb·K) tail — coin proofs, Morra coins, the Line-13 equation with the
+// pre-folded client product, and the aggregation — and derive the
+// transcript digest without ever re-decoding a client.
+func (a *TailAuditor) verifySeal(sp *splitSeal, off int64) error {
 	if err := a.flushPending(); err != nil {
 		return err
 	}
+	ep := a.g.ep
+	if id, ok := ep.uncharged(a.ledger.cfg != nil); ok {
+		// Admission always charges: a client reaching the seal uncharged
+		// means the curator gave away a free epoch.
+		return a.errAt(off, "epoch %d seals with client %d uncharged", ep.n, id)
+	}
+	roster := ep.roster()
 	// Clients still undecided at seal time (a DeferVerification session
 	// writes no per-arrival verdicts) join the product by their Σ-OR
 	// verdict, exactly as Finalize's batch check decides them.
-	for _, cl := range a.order {
-		if !cl.decided {
-			a.fold(cl)
-		}
-		if a.ledger.cfg != nil && !a.ledger.chargedInEpoch(a.epoch, cl.pub.ID) {
-			// Policy: admission always charges. A roster client reaching the
-			// seal uncharged means the curator gave away a free epoch.
-			return a.errAt(off, "epoch %d seals with roster client %d uncharged", a.epoch, cl.pub.ID)
+	for _, c := range roster {
+		if !c.decided {
+			a.fold(c)
 		}
 	}
-	sp, err := a.pub.splitSealedTranscript(sealBytes)
-	if err != nil {
-		return a.errAt(off, "seal: %v", err)
-	}
-	if len(sp.clientRaw) != len(a.order) {
-		return a.errAt(off, "seal lists %d clients, the live tail admitted %d", len(sp.clientRaw), len(a.order))
+	if len(sp.clientRaw) != len(roster) {
+		return a.errAt(off, "seal lists %d clients, the live tail admitted %d", len(sp.clientRaw), len(roster))
 	}
 	for i, raw := range sp.clientRaw {
-		if !bytes.Equal(raw, a.order[i].raw) {
+		if !bytes.Equal(raw, roster[i].raw) {
 			return a.errAt(off, "seal position %d disagrees with the logged submission of client %d (offset %d)",
-				i, a.order[i].pub.ID, a.order[i].offset)
+				i, roster[i].sub.Public.ID, roster[i].offset)
 		}
 	}
 
 	k := a.pub.cfg.Provers
 	m := a.pub.cfg.Bins
-	if len(sp.coinMsgs) != k || len(sp.morra) != k || len(sp.outputs) != k {
+	st := &sp.tail
+	if len(st.CoinMsgs) != k || len(st.Morra) != k || len(st.Outputs) != k {
 		return a.errAt(off, "seal covers %d/%d/%d prover records, want %d",
-			len(sp.coinMsgs), len(sp.morra), len(sp.outputs), k)
+			len(st.CoinMsgs), len(st.Morra), len(st.Outputs), k)
 	}
-	if sp.release == nil {
+	if st.Release == nil {
 		return a.errAt(off, "seal carries no release")
 	}
 
@@ -555,15 +396,15 @@ func (a *TailAuditor) verifySeal(sealBytes []byte, off int64) error {
 		inner = 1
 	}
 	pv := NewVerifierParallel(a.pub, inner)
-	err = forEach(context.Background(), a.workers, k, func(pk int) error {
-		msg := sp.coinMsgs[pk]
+	err := forEach(context.Background(), a.workers, k, func(pk int) error {
+		msg := st.CoinMsgs[pk]
 		if msg.Prover != pk {
 			return fmt.Errorf("coin message %d claims prover %d", pk, msg.Prover)
 		}
 		if err := pv.VerifyCoinCommitments(msg); err != nil {
 			return err
 		}
-		rec := sp.morra[pk]
+		rec := st.Morra[pk]
 		xs, err := morra.Combine(a.pub.pp, rec.Commits, rec.Reveals)
 		if err != nil {
 			return fmt.Errorf("morra record for prover %d: %v", pk, err)
@@ -576,7 +417,7 @@ func (a *TailAuditor) verifySeal(sealBytes []byte, off int64) error {
 		if err != nil {
 			return err
 		}
-		out := sp.outputs[pk]
+		out := st.Outputs[pk]
 		if out.Prover != pk {
 			return fmt.Errorf("output %d claims prover %d", pk, out.Prover)
 		}
@@ -601,22 +442,21 @@ func (a *TailAuditor) verifySeal(sealBytes []byte, off int64) error {
 		return a.errAt(off, "seal: %v", err)
 	}
 
-	release, err := NewVerifierParallel(a.pub, a.workers).Aggregate(sp.outputs)
+	release, err := NewVerifierParallel(a.pub, a.workers).Aggregate(st.Outputs)
 	if err != nil {
 		return a.errAt(off, "seal: %v", err)
 	}
-	if len(release.Raw) != len(sp.release.Raw) {
-		return a.errAt(off, "seal release has %d bins, aggregation produces %d", len(sp.release.Raw), len(release.Raw))
+	if len(release.Raw) != len(st.Release.Raw) {
+		return a.errAt(off, "seal release has %d bins, aggregation produces %d", len(st.Release.Raw), len(release.Raw))
 	}
 	for j := range release.Raw {
-		if release.Raw[j] != sp.release.Raw[j] {
-			return a.errAt(off, "seal bin %d = %d, aggregation produces %d", j, sp.release.Raw[j], release.Raw[j])
+		if release.Raw[j] != st.Release.Raw[j] {
+			return a.errAt(off, "seal bin %d = %d, aggregation produces %d", j, st.Release.Raw[j], release.Raw[j])
 		}
 	}
 
-	a.sealed = true
 	a.digest = sp.digest(a.pub)
-	a.history[a.epoch] = a.digest
+	a.history[ep.n] = a.digest
 	return nil
 }
 
@@ -624,7 +464,7 @@ func (a *TailAuditor) verifySeal(sealBytes []byte, off int64) error {
 func (a *TailAuditor) Epoch() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.epoch
+	return a.g.ep.n
 }
 
 // Records returns how many records the tail has consumed.
@@ -638,14 +478,14 @@ func (a *TailAuditor) Records() int {
 func (a *TailAuditor) Clients() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.order)
+	return len(a.g.ep.roster())
 }
 
 // Sealed reports whether the current epoch's seal has been verified.
 func (a *TailAuditor) Sealed() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.sealed
+	return a.digest != nil
 }
 
 // Digest returns the current epoch's verified transcript digest (nil until
@@ -684,7 +524,11 @@ func (a *TailAuditor) VerifiedDigest(epoch int) ([]byte, bool) {
 func (a *TailAuditor) ReverifySeal(sealBytes []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.verifySeal(sealBytes, -1)
+	sp, err := a.pub.splitSealedTranscript(sealBytes)
+	if err != nil {
+		return a.errAt(-1, "seal: %v", err)
+	}
+	return a.verifySeal(sp, -1)
 }
 
 // Err returns the sticky audit failure, if any.
@@ -706,19 +550,23 @@ func (a *TailAuditor) Close() error {
 	return t.Close()
 }
 
-// MergedTailAuditor follows a sharded epoch live: one TailAuditor per shard
-// (each pinned to its ShardOf slice, so no client can appear on a foreign
-// shard — or, since ShardOf is a function, on two shards at once) plus the
-// manifest's merged-seal stream. VerifyMerged reproduces
-// MergedTranscriptDigest from the per-shard verified digests and
-// cross-checks the manifest's claim.
+// MergedTailAuditor follows a multi-segment epoch live: one TailAuditor
+// per segment plus the manifest's merged-seal stream. Once every segment has
+// verified an epoch's seal, the front door's roster rule runs over the K
+// sealed rosters — the same rule the offline audit runs: for a sharded
+// deployment, every client on the shard ShardOf assigns it (so none on a
+// foreign shard or on two), for a sketch, no row seating a client row 0 did
+// not admit. VerifyMerged reproduces MergedTranscriptDigest from the
+// per-segment verified digests and cross-checks the manifest's claim.
 type MergedTailAuditor struct {
 	pub    *Public
+	kind   segmentKind
 	shards []*TailAuditor
 
-	mu     sync.Mutex
-	seals  map[int][]byte
-	manIdx int
+	mu      sync.Mutex
+	seals   map[int][]byte
+	manIdx  int
+	rosters map[int][][]int // epoch -> verified rosters, until every segment has sealed it
 }
 
 // NewMergedTailAuditor creates a live auditor for a K-shard deployment.
@@ -726,13 +574,28 @@ func NewMergedTailAuditor(pub *Public, shards int, opts TailOptions) *MergedTail
 	if shards < 1 {
 		shards = 1
 	}
-	m := &MergedTailAuditor{pub: pub, seals: make(map[int][]byte)}
-	for i := 0; i < shards; i++ {
-		a := NewTailAuditor(pub, opts)
-		a.SetShard(i, shards)
-		m.shards = append(m.shards, a)
+	return newMergedTail(pub, shards, opts, shardKind)
+}
+
+// noteRoster collects segment seg's verified roster for an epoch and runs
+// the roster rule once every segment has reported; the rosters are dropped
+// as soon as the rule has run, so only epochs still sealing are retained.
+func (m *MergedTailAuditor) noteRoster(seg, epoch int, ids []int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rs := m.rosters[epoch]
+	if rs == nil {
+		rs = make([][]int, len(m.shards))
+		m.rosters[epoch] = rs
 	}
-	return m
+	rs[seg] = ids
+	for _, r := range rs {
+		if r == nil {
+			return nil
+		}
+	}
+	delete(m.rosters, epoch)
+	return m.kind.roster(rs)
 }
 
 // Shards returns the shard count.
@@ -741,34 +604,16 @@ func (m *MergedTailAuditor) Shards() int { return len(m.shards) }
 // Shard returns shard i's TailAuditor; feed it that shard's records.
 func (m *MergedTailAuditor) Shard(i int) *TailAuditor { return m.shards[i] }
 
-// FeedManifest consumes one manifest record, enforcing the same grammar
-// readMergedSeals does: store bookkeeping is skipped, every merged seal
-// must carry the right shard count, no epoch seals twice, and a kind no
-// ShardedSession writes is flagged.
+// FeedManifest consumes one manifest record, under the same manifest
+// grammar readMergedSeals enforces.
 func (m *MergedTailAuditor) FeedManifest(rec *store.Record, off int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	i := m.manIdx
 	m.manIdx++
-	if rec.Kind >= store.KindSegmentedInit {
-		return nil // store-reserved bookkeeping
-	}
-	if rec.Kind != RecordMergedSeal {
-		return fmt.Errorf("%w: manifest record %d (offset %d) has unknown kind %d", ErrAuditFail, i, off, rec.Kind)
-	}
-	shards, digest, err := decodeMergedSeal(rec.Payload)
-	if err != nil {
+	if err := applyMergedSeal(m.seals, rec, len(m.shards)); err != nil {
 		return fmt.Errorf("%w: manifest record %d (offset %d): %v", ErrAuditFail, i, off, err)
 	}
-	if shards != len(m.shards) {
-		return fmt.Errorf("%w: manifest record %d (offset %d) claims %d shards, tail follows %d",
-			ErrAuditFail, i, off, shards, len(m.shards))
-	}
-	epoch := int(rec.Epoch)
-	if _, dup := m.seals[epoch]; dup {
-		return fmt.Errorf("%w: manifest record %d (offset %d) seals epoch %d twice", ErrAuditFail, i, off, epoch)
-	}
-	m.seals[epoch] = digest
 	return nil
 }
 
@@ -804,7 +649,7 @@ func (m *MergedTailAuditor) VerifyMerged(epoch int) (digest []byte, ready bool, 
 	ds := make([][]byte, len(m.shards))
 	for i, a := range m.shards {
 		if err := a.Err(); err != nil {
-			return nil, false, fmt.Errorf("shard %d: %w", i, err)
+			return nil, false, fmt.Errorf("%s %d: %w", m.kind.noun, i, err)
 		}
 		d, ok := a.VerifiedDigest(epoch)
 		if !ok {
@@ -833,21 +678,7 @@ type SegmentedTail struct {
 
 // TailAuditMerged opens a live audit tail over a segmented board log.
 func TailAuditMerged(pub *Public, seg *store.SegmentedLog, opts TailOptions) (*SegmentedTail, error) {
-	m := NewMergedTailAuditor(pub, seg.Shards(), opts)
-	for i := 0; i < seg.Shards(); i++ {
-		t, err := seg.Segment(i).Tail()
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.Shard(i).AttachTailer(t)
-	}
-	manTail, err := seg.Manifest().Tail()
-	if err != nil {
-		m.Close()
-		return nil, err
-	}
-	return &SegmentedTail{merged: m, manTail: manTail}, nil
+	return newSegmentedTail(pub, seg, opts, shardKind)
 }
 
 // Merged returns the underlying merged auditor.
@@ -862,7 +693,7 @@ func (st *SegmentedTail) Poll() (int, error) {
 		k, err := a.Poll()
 		n += k
 		if err != nil {
-			return n, fmt.Errorf("shard %d: %w", i, err)
+			return n, fmt.Errorf("%s %d: %w", st.merged.kind.noun, i, err)
 		}
 	}
 	for {
@@ -906,153 +737,4 @@ func (m *MergedTailAuditor) Close() error {
 		}
 	}
 	return first
-}
-
-// splitSeal is a sealed transcript shallow-parsed for the tail's seal walk:
-// the client section stays raw (per-client byte slices, no elliptic-curve
-// decode — that is the O(n) cost the tail already paid at arrival time),
-// while the O(M·nb·K) prover tail is fully decoded for verification.
-type splitSeal struct {
-	clientRaw [][]byte
-	coinMsgs  []*CoinCommitMsg
-	morra     []*MorraRecord
-	outputs   []*ProverOutput
-	release   *Release
-}
-
-// splitSealedTranscript shallow-parses an encoded transcript; the layout is
-// exactly DecodeTranscript's, with the client section left undecoded.
-func (p *Public) splitSealedTranscript(b []byte) (*splitSeal, error) {
-	r := wireReader{b: b}
-	r.version()
-	sp := &splitSeal{}
-
-	nClients := r.u32()
-	if r.err == nil && nClients > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d clients", nClients)
-	}
-	for i := uint32(0); i < nClients && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		sp.clientRaw = append(sp.clientRaw, raw)
-	}
-
-	nCoin := r.u32()
-	if r.err == nil && nCoin > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d coin messages", nCoin)
-	}
-	for i := uint32(0); i < nCoin && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		msg, err := p.DecodeCoinCommitMsg(raw)
-		if err != nil {
-			return nil, err
-		}
-		sp.coinMsgs = append(sp.coinMsgs, msg)
-	}
-
-	nMorra := r.u32()
-	if r.err == nil && nMorra > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d morra records", nMorra)
-	}
-	for i := uint32(0); i < nMorra && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		rec, err := p.DecodeMorraRecord(raw)
-		if err != nil {
-			return nil, err
-		}
-		sp.morra = append(sp.morra, rec)
-	}
-
-	nOut := r.u32()
-	if r.err == nil && nOut > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d prover outputs", nOut)
-	}
-	for i := uint32(0); i < nOut && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		out, err := p.DecodeProverOutput(raw)
-		if err != nil {
-			return nil, err
-		}
-		sp.outputs = append(sp.outputs, out)
-	}
-
-	if r.u32() == 1 && r.err == nil {
-		m := r.u32()
-		if r.err == nil && m > maxWireDim {
-			return nil, fmt.Errorf("vdp: release claims %d bins", m)
-		}
-		rel := &Release{Stddev: stddev(p.cfg.Provers, p.nb)}
-		mean := p.NoiseMean()
-		for j := uint32(0); j < m && r.err == nil; j++ {
-			hi := r.u32()
-			lo := r.u32()
-			if r.err != nil {
-				break
-			}
-			raw := int64(uint64(hi)<<32 | uint64(lo))
-			rel.Raw = append(rel.Raw, raw)
-			rel.Estimate = append(rel.Estimate, float64(raw)-mean)
-		}
-		sp.release = rel
-	}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return sp, nil
-}
-
-// digest reproduces TranscriptDigest from the shallow parse: the client
-// section is hashed from its raw slices (each equals EncodeClientPublic of
-// the decoded client — the encodings are canonical), the rest from the
-// decoded components.
-func (sp *splitSeal) digest(pub *Public) []byte {
-	h := sha256.New()
-	writeU32(h, uint32(len(sp.clientRaw)))
-	for _, raw := range sp.clientRaw {
-		chunk(h, raw)
-	}
-	writeU32(h, uint32(len(sp.coinMsgs)))
-	for _, msg := range sp.coinMsgs {
-		digestCoinMsg(h, pub, msg)
-	}
-	writeU32(h, uint32(len(sp.morra)))
-	for _, rec := range sp.morra {
-		digestMorra(h, pub, rec)
-	}
-	writeU32(h, uint32(len(sp.outputs)))
-	for _, out := range sp.outputs {
-		chunk(h, pub.EncodeProverOutput(out))
-	}
-	if sp.release != nil {
-		writeU32(h, uint32(len(sp.release.Raw)))
-		for _, raw := range sp.release.Raw {
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], uint64(raw))
-			h.Write(b[:])
-		}
-	}
-	return h.Sum(nil)
-}
-
-// transcriptDigestFromBytes computes TranscriptDigest directly from a
-// sealed transcript's encoding, decoding only the O(M·nb·K) prover tail.
-// Snapshot validation and replay use it so pinning an epoch's digest never
-// costs a full client decode.
-func transcriptDigestFromBytes(pub *Public, sealBytes []byte) ([]byte, error) {
-	sp, err := pub.splitSealedTranscript(sealBytes)
-	if err != nil {
-		return nil, err
-	}
-	return sp.digest(pub), nil
 }

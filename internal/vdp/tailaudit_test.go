@@ -277,6 +277,19 @@ func TestTailAuditorAdversarialMutations(t *testing.T) {
 			wantFrag: "offset",
 		},
 		{
+			// A logged verdict that contradicts the cryptography: client 0's
+			// valid proof recorded as a board rejection. The offline audit
+			// checks every logged verdict against the seal's own proof
+			// verification, so it refuses this too.
+			name: "forged-board-rejection",
+			mutate: func(recs []*store.Record) []*store.Record {
+				recs[1].Payload = encodeVerdict(0, fmt.Errorf("%w: forged", ErrClientReject), true)
+				return recs
+			},
+			wantAt:   1,
+			wantFrag: "rejected on the board, but its board proof verifies",
+		},
+		{
 			// A flipped byte inside the seal itself.
 			name: "bit-flipped-seal",
 			mutate: func(recs []*store.Record) []*store.Record {

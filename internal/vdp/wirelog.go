@@ -310,9 +310,54 @@ func (p *Public) EncodeTranscript(t *Transcript) []byte {
 
 // DecodeTranscript parses and validates a sealed epoch transcript.
 func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
+	sp, err := p.splitSealedTranscript(b)
+	if err != nil {
+		return nil, err
+	}
+	return sp.transcript(p)
+}
+
+// splitSeal is a sealed transcript shallow-parsed: the client section stays
+// raw (per-client byte slices, no elliptic-curve decode — the O(n) cost a
+// live tail already paid at arrival time), while the O(M·nb·K) prover tail
+// is fully decoded. Every board-log reader parses seals this way; the
+// offline audit and recovery then decode the clients with transcript.
+type splitSeal struct {
+	clientRaw [][]byte
+	tail      Transcript // Clients stays nil: the prover tail only
+	sum       []byte     // TranscriptDigest, once computed
+}
+
+// transcript decodes the client section, completing the transcript.
+func (sp *splitSeal) transcript(p *Public) (*Transcript, error) {
+	t := sp.tail
+	for _, raw := range sp.clientRaw {
+		cp, err := p.DecodeClientPublic(raw)
+		if err != nil {
+			return nil, err
+		}
+		t.Clients = append(t.Clients, cp)
+	}
+	return &t, nil
+}
+
+// digest returns TranscriptDigest of the sealed transcript, hashing the
+// client section from its raw slices (each equals EncodeClientPublic of
+// the decoded client — the encodings are canonical).
+func (sp *splitSeal) digest(pub *Public) []byte {
+	if sp.sum == nil {
+		sp.sum = transcriptDigest(pub, sp.clientRaw, &sp.tail)
+	}
+	return sp.sum
+}
+
+// splitSealedTranscript shallow-parses an encoded transcript: the layout is
+// EncodeTranscript's, with the client section left undecoded.
+func (p *Public) splitSealedTranscript(b []byte) (*splitSeal, error) {
 	r := wireReader{b: b}
 	r.version()
-	t := &Transcript{}
+	sp := &splitSeal{}
+	t := &sp.tail
 
 	nClients := r.u32()
 	if r.err == nil && nClients > maxWireDim {
@@ -323,11 +368,7 @@ func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
 		if r.err != nil {
 			break
 		}
-		cp, err := p.DecodeClientPublic(raw)
-		if err != nil {
-			return nil, err
-		}
-		t.Clients = append(t.Clients, cp)
+		sp.clientRaw = append(sp.clientRaw, raw)
 	}
 
 	nCoin := r.u32()
@@ -400,5 +441,5 @@ func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return sp, nil
 }
